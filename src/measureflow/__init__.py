@@ -12,6 +12,7 @@ from .errors import (
     LipschitzViolation,
     MassMismatch,
     MeasureflowError,
+    SolverError,
     SupportOverflow,
 )
 from .fiber import FiberPlan, check_ww_inequalities, fiber_w, fiber_wg
@@ -63,6 +64,7 @@ __all__ = [
     "ProblemSpec",
     "PvfSpec",
     "SignedDecomposition",
+    "SolverError",
     "SourceSpec",
     "SupportOverflow",
     "Trajectory",

@@ -3,14 +3,35 @@
     min  sum_ij c_ij x_ij
     s.t. sum_j x_ij = supply_i,   sum_i x_ij = demand_j,   x >= 0
 
-The basis is a spanning tree of the bipartite graph.  The initial basis is
-the northwest-corner staircase, which for atoms sorted by position in one
-dimension is already the monotone (optimal) coupling, so those instances
-finish in a single pricing pass.  Pricing is vectorized Dantzig (most
-negative reduced cost, first index on ties); after a stretch of degenerate
-pivots the solver switches to Bland's smallest-index rule until a
-nondegenerate pivot occurs, which prevents cycling while keeping the pivot
-sequence deterministic.
+The basis is a spanning tree of the bipartite graph, rooted at row 0.  The
+initial basis is the northwest-corner staircase, which for atoms sorted by
+position in one dimension is already the monotone (optimal) coupling, so
+those instances finish in a single pricing pass.  Pricing is vectorized
+Dantzig (most negative reduced cost, first index on ties); after a stretch
+of degenerate pivots the solver switches to Bland's smallest-index rule
+until a nondegenerate pivot occurs, which prevents cycling while keeping the
+pivot sequence deterministic.
+
+The tree is maintained incrementally (Ahuja, Magnanti and Orlin, *Network
+Flows*, 1993, ch. 11).  Parent and depth arrays persist across pivots; the
+cycle closed by the entering arc is found by walking its two ends up to
+their lowest common ancestor, the deeper end first.  The leaving arc cuts
+off one subtree, which holds one end of the entering arc.  Only that subtree
+is re-hung, below the entering arc, and only its nodes get new depths and
+dual potentials and its rows and columns of the reduced-cost matrix
+recomputed.
+
+This gives the same results, bit for bit, as rebuilding the whole tree on
+every pivot.  A potential is ``cost[arc] - potential[parent]`` along the
+unique tree path from the root, so it depends on that path alone:
+recomputing the re-hung subtree top-down gives the bits a breadth-first
+pass over the whole tree would, and every other node keeps its path and its
+bits.  A reduced cost ``c_ij - u_i - v_j`` is evaluated in the same order of
+operations wherever it is refreshed, and entries whose ``u_i`` and ``v_j``
+did not change are left as they were.  Pricing thus sees the same matrix,
+so the pivot sequence, the flows and the value are unchanged.  A final full
+rebuild checks that the basis is a spanning tree and recomputes every
+reduced cost for the optimality certificate.
 """
 
 from __future__ import annotations
@@ -20,21 +41,28 @@ from collections import deque
 
 import numpy as np
 
+from .errors import SolverError
 
-class SimplexError(RuntimeError):
+# Re-hung subtrees with at most this many rows (or columns) refresh their
+# reduced costs one basic slice at a time; larger ones use one fancy-index pass.
+_SLICE_LIMIT = 4
+
+
+class SimplexError(SolverError):
     """Internal failure of the transportation solver (should never happen)."""
 
 
 def _northwest_corner(supply: np.ndarray, demand: np.ndarray):
-    """Initial spanning-tree basis with exactly m + n - 1 arcs."""
+    """Initial spanning-tree basis with exactly m + n - 1 arcs, keyed by the
+    flat index ``i * n + j`` of arc ``(i, j)``."""
     m, n = len(supply), len(demand)
     a = supply.astype(float).copy()
     b = demand.astype(float).copy()
-    flows: dict[tuple[int, int], float] = {}
+    flows: dict[int, float] = {}
     i = j = 0
     while True:
         f = min(a[i], b[j])
-        flows[(i, j)] = max(f, 0.0)
+        flows[i * n + j] = max(f, 0.0)
         a[i] -= f
         b[j] -= f
         if i == m - 1 and j == n - 1:
@@ -53,11 +81,12 @@ def _northwest_corner(supply: np.ndarray, demand: np.ndarray):
 class _Tree:
     """Spanning-tree bookkeeping over nodes 0..m-1 (rows) and m..m+n-1 (cols)."""
 
-    def __init__(self, m: int, n: int, basis: dict[tuple[int, int], float]):
+    def __init__(self, m: int, n: int, basis: dict[int, float]):
         self.m = m
         self.n = n
-        self.adj: dict[int, set[int]] = {k: set() for k in range(m + n)}
-        for (i, j) in basis:
+        self.adj: list[set[int]] = [set() for _ in range(m + n)]
+        for arc in basis:
+            i, j = divmod(arc, n)
             self.adj[i].add(m + j)
             self.adj[m + j].add(i)
         self.parent = [-1] * (m + n)
@@ -92,32 +121,95 @@ class _Tree:
         if count != m + self.n:
             raise SimplexError("basis graph is not a spanning tree")
 
-    def path_to_root(self, node: int) -> list[int]:
-        path = [node]
-        while self.parent[path[-1]] != -1:
-            path.append(self.parent[path[-1]])
-        return path
+    def cycle(self, row: int, col_node: int) -> tuple[list[int], int]:
+        """Node walk of the unique cycle closed by the entering arc row->col.
 
-    def cycle_nodes(self, row: int, col_node: int) -> list[int]:
-        """Node walk of the unique cycle closed by the entering arc row->col."""
-        pa = self.path_to_root(row)
-        pb = self.path_to_root(col_node)
-        in_a = {node: k for k, node in enumerate(pa)}
-        lca = next(node for node in pb if node in in_a)
-        b_part = pb[: pb.index(lca)]  # col .. (lca exclusive)
-        if lca == row:
-            return [row] + b_part
-        a_part = pa[: in_a[lca] + 1]  # row .. lca
-        # walk: row, col, ..., lca, ..., back toward row
-        return [row] + b_part + [lca] + a_part[-2:0:-1]
+        The walk is ``[row]``, the column side from ``col_node`` up to below
+        the lowest common ancestor, the ancestor, then the row side down to
+        the parent of ``row``; the ancestor's index in the walk is returned
+        with it (``len(walk)`` when the ancestor is ``row`` itself).
+        """
+        parent = self.parent
+        depth = self.depth
+        a, b = row, col_node
+        row_side: list[int] = []
+        col_side: list[int] = []
+        while depth[a] > depth[b]:
+            row_side.append(a)
+            a = parent[a]
+        while depth[b] > depth[a]:
+            col_side.append(b)
+            b = parent[b]
+        while a != b:
+            row_side.append(a)
+            col_side.append(b)
+            a = parent[a]
+            b = parent[b]
+        walk = [row] + col_side
+        if a == row:
+            return walk, len(walk)
+        return walk + [a] + row_side[:0:-1], len(walk)
 
-    def replace(self, leaving: tuple[int, int], entering: tuple[int, int]) -> None:
-        li, lj = leaving
-        ei, ej = entering
-        self.adj[li].discard(self.m + lj)
-        self.adj[self.m + lj].discard(li)
-        self.adj[ei].add(self.m + ej)
-        self.adj[self.m + ej].add(ei)
+    def rehang(
+        self,
+        leaving: int,
+        top: int,
+        below: int,
+        cost: np.ndarray,
+        u: np.ndarray,
+        v: np.ndarray,
+    ) -> tuple[list[int], list[int]]:
+        """Swap the leaving arc (a flat index) for the entering arc
+        ``below``-``top``.
+
+        ``below`` is the entering arc's end inside the subtree the leaving
+        arc cuts off.  That subtree is hung from ``top`` and its depths and
+        potentials are recomputed top-down; returns its rows and columns.
+        """
+        m = self.m
+        adj = self.adj
+        parent = self.parent
+        depth = self.depth
+        li, lj = divmod(leaving, self.n)
+        adj[li].discard(m + lj)
+        adj[m + lj].discard(li)
+        adj[top].add(below)
+        adj[below].add(top)
+        parent[below] = top
+        rows: list[int] = []
+        cols: list[int] = []
+        stack = [below]
+        while stack:
+            node = stack.pop()
+            up = parent[node]
+            depth[node] = depth[up] + 1
+            if node < m:  # col -> row arc (node, up - m)
+                u[node] = cost[node, up - m] - v[up - m]
+                rows.append(node)
+            else:  # row -> col arc (up, node - m)
+                v[node - m] = cost[up, node - m] - u[up]
+                cols.append(node - m)
+            for nbr in adj[node]:
+                if nbr != up:
+                    parent[nbr] = node
+                    stack.append(nbr)
+        return rows, cols
+
+
+def _refresh(reduced, cost, u, v, rows: list[int], cols: list[int]) -> None:
+    """Recompute ``cost - u - v`` on the given rows and columns only."""
+    if len(rows) <= _SLICE_LIMIT:
+        for i in rows:
+            reduced[i] = cost[i] - u[i] - v
+    else:
+        idx = np.array(rows)
+        reduced[idx] = cost[idx] - u[idx, None] - v[None, :]
+    if len(cols) <= _SLICE_LIMIT:
+        for j in cols:
+            reduced[:, j] = cost[:, j] - u - v[j]
+    else:
+        idx = np.array(cols)
+        reduced[:, idx] = cost[:, idx] - u[:, None] - v[None, idx]
 
 
 def solve_transport(
@@ -147,6 +239,8 @@ def solve_transport(
     tree = _Tree(m, n, flows)
     u = np.zeros(m)
     v = np.zeros(n)
+    tree.rebuild(cost, u, v)
+    reduced = cost - u[:, None] - v[None, :]
 
     scale_c = 1.0 + float(np.max(np.abs(cost))) if cost.size else 1.0
     price_tol = tol * scale_c
@@ -161,8 +255,6 @@ def solve_transport(
     bland_window = 2 * (m + n) + 10
 
     for _ in range(max_iter):
-        tree.rebuild(cost, u, v)
-        reduced = cost - u[:, None] - v[None, :]
         if bland:
             mask = reduced.reshape(-1) < -price_tol
             if not mask.any():
@@ -174,36 +266,40 @@ def solve_transport(
                 break
         ei, ej = divmod(flat, n)
 
-        walk = tree.cycle_nodes(ei, m + ej)
-        size = len(walk)
-        arcs = []
-        signs = []
-        for k in range(size):
-            x, y = walk[k], walk[(k + 1) % size]
-            if x < m:
-                arcs.append((x, y - m))
-                signs.append(+1.0)
-            else:
-                arcs.append((y, x - m))
-                signs.append(-1.0)
+        walk, apex = tree.cycle(ei, m + ej)
+        walk.append(ei)
+        # The walk alternates row and column nodes: its odd steps run from a
+        # column to a row against a tree arc, its even steps along one.
+        # Column node c is column c - m, so arc (r, c - m) has key r * n + c - m.
+        backward = [r * n + c - m for r, c in zip(walk[2::2], walk[1::2])]
+        forward = [r * n + c - m for r, c in zip(walk[2:-1:2], walk[3::2])]
 
         theta = math.inf
-        leave_pos = -1
-        for k in range(1, size):
-            if signs[k] < 0 and flows[arcs[k]] < theta:
-                theta = flows[arcs[k]]
-                leave_pos = k
-        if leave_pos < 0:
+        leave = -1
+        for k, arc in enumerate(backward):
+            if flows[arc] < theta:
+                theta = flows[arc]
+                leave = k
+        if leave < 0:
             raise SimplexError("no leaving arc: unbounded cycle in transportation LP")
 
-        for k in range(1, size):
-            f = flows[arcs[k]] + signs[k] * theta
-            flows[arcs[k]] = max(f, 0.0)
-        flows[arcs[leave_pos]] = 0.0
-        leaving = arcs[leave_pos]
+        # ``0.0 if f < 0.0 else f`` is ``max(f, 0.0)``, signed zeros included.
+        for arc in backward:
+            f = flows[arc] - theta
+            flows[arc] = 0.0 if f < 0.0 else f
+        for arc in forward:
+            f = flows[arc] + theta
+            flows[arc] = 0.0 if f < 0.0 else f
+        leaving = backward[leave]
         del flows[leaving]
-        flows[(ei, ej)] = theta
-        tree.replace(leaving, (ei, ej))
+        flows[flat] = theta
+        # The walk climbs from the column end to the apex, so a leaving arc
+        # before the apex cuts the column end off; otherwise the row end.
+        if 2 * leave + 1 < apex:
+            rows, cols = tree.rehang(leaving, ei, m + ej, cost, u, v)
+        else:
+            rows, cols = tree.rehang(leaving, m + ej, ei, cost, u, v)
+        _refresh(reduced, cost, u, v, rows, cols)
 
         if theta <= degen_tol:
             degenerate_run += 1
@@ -215,12 +311,13 @@ def solve_transport(
     else:
         raise SimplexError(f"pivot limit {max_iter} exceeded")
 
-    # Optimality certificate: every reduced cost nonnegative (up to noise).
+    # Spanning-tree check and optimality certificate from a full rebuild:
+    # every reduced cost nonnegative (up to noise).
     tree.rebuild(cost, u, v)
     worst = float(np.min(cost - u[:, None] - v[None, :]))
     if worst < -100 * price_tol:
         raise SimplexError(f"returned basis is not optimal (reduced cost {worst})")
 
-    positive = {arc: f for arc, f in flows.items() if f > 0.0}
+    positive = {divmod(arc, n): f for arc, f in flows.items() if f > 0.0}
     value = math.fsum(cost[i, j] * f for (i, j), f in positive.items())
     return value, positive

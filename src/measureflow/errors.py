@@ -31,3 +31,7 @@ class SupportOverflow(MeasureflowError, RuntimeError):
 
 class ConfigError(MeasureflowError, ValueError):
     """Invalid run configuration or input file schema."""
+
+
+class SolverError(MeasureflowError, RuntimeError):
+    """A transport or LP solver failed to return a certified optimum."""

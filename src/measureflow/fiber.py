@@ -10,7 +10,8 @@ the velocity cost.  Neither operator is a distance.
 Base-stage optimality is encoded as a linear constraint ``base cost of the
 coupling <= optimum + eps_opt`` (exact equality constraints on LP optima
 are numerically brittle); the resulting side-constrained LPs are no longer
-network problems and are solved with HiGHS.
+network problems and are solved with HiGHS.  Their marginal constraints
+are built as sparse matrices: a dense build takes O(n1 n2 (n1 + n2)) memory.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
-from .errors import DimensionMismatch, MassMismatch
+from .errors import DimensionMismatch, MassMismatch, SolverError
 from .flat import generalized_wasserstein
 from .measures import LiftedMeasure
 from .wasserstein import MASS_TOL, wasserstein1
@@ -70,14 +72,9 @@ def _pair_costs(V1: LiftedMeasure, V2: LiftedMeasure):
 
 
 def _marginal_matrix(n1: int, n2: int):
-    """Rows summing a flattened (n1, n2) matrix by row and by column."""
-    nvar = n1 * n2
-    rows = np.zeros((n1, nvar))
-    for i in range(n1):
-        rows[i, i * n2 : (i + 1) * n2] = 1.0
-    cols = np.zeros((n2, nvar))
-    for j in range(n2):
-        cols[j, j::n2] = 1.0
+    """Sparse rows summing a flattened (n1, n2) matrix by row and by column."""
+    rows = sparse.kron(sparse.identity(n1), np.ones((1, n2)))
+    cols = sparse.kron(np.ones((1, n1)), sparse.identity(n2))
     return rows, cols
 
 
@@ -115,7 +112,7 @@ def fiber_w_solution(
     n1, n2 = len(V1.atoms), len(V2.atoms)
     base_cost, fiber_cost = _pair_costs(V1, V2)
     rows, cols = _marginal_matrix(n1, n2)
-    A_eq = np.vstack([rows, cols])
+    A_eq = sparse.vstack([rows, cols]).tocsr()
     b_eq = np.concatenate(
         [[w for _, _, w in V1.atoms], [w for _, _, w in V2.atoms]]
     )
@@ -130,7 +127,7 @@ def fiber_w_solution(
         options=_HIGHS_OPTIONS,
     )
     if res.status != 0:
-        raise RuntimeError(f"fiber LP failed: {res.message}")
+        raise SolverError(f"fiber LP failed: {res.message}")
     plan = _extract_plan(res.x, n1, n2, base_cost, fiber_cost)
     return max(float(res.fun), 0.0), plan
 
@@ -166,7 +163,7 @@ def fiber_wg_solution(
     n1, n2 = len(V1.atoms), len(V2.atoms)
     base_cost, fiber_cost = _pair_costs(V1, V2)
     rows, cols = _marginal_matrix(n1, n2)
-    A_ub = np.vstack([rows, cols, (base_cost - 2.0).reshape(1, -1)])
+    A_ub = sparse.vstack([rows, cols, (base_cost - 2.0).reshape(1, -1)]).tocsr()
     b_ub = np.concatenate(
         [
             [w for _, _, w in V1.atoms],
@@ -183,7 +180,7 @@ def fiber_wg_solution(
         options=_HIGHS_OPTIONS,
     )
     if res.status != 0:
-        raise RuntimeError(f"fiber LP failed: {res.message}")
+        raise SolverError(f"fiber LP failed: {res.message}")
     plan = _extract_plan(res.x, n1, n2, base_cost, fiber_cost)
     return max(float(res.fun), 0.0), plan
 

@@ -359,6 +359,17 @@ def predicted_reach(
     return reach + 1.0
 
 
+def _step_count(T: float, N: int) -> int:
+    """ceil(T N), except that a T N within 1e-9 relative of an integer is
+    that integer: a decimal T such as 0.1 is stored a hair above its value,
+    and the plain ceiling would take one step too many."""
+    exact = Fraction(T) * N
+    nearest = round(exact)
+    if abs(exact - nearest) <= exact / 10**9:
+        return nearest
+    return math.ceil(exact)
+
+
 def run_semigroup(
     grid: LatticeGrid,
     mu0: DiscreteMeasure,
@@ -366,7 +377,8 @@ def run_semigroup(
     src: SourceSpec | None,
     T: float,
 ) -> Trajectory:
-    """Run the lattice scheme from ax_discretize(mu0) for ceil(T N) steps.
+    """Run the lattice scheme from ax_discretize(mu0) for ceil(T N) steps
+    (T N within 1e-9 relative of an integer counts as that integer).
 
     Rejects upfront (SupportOverflow) when the growth envelope of the data
     cannot fit the extent; in adaptive-extent mode the extent is widened to
@@ -388,7 +400,7 @@ def run_semigroup(
             step_index=None,
         )
 
-    steps = math.ceil(Fraction(T) * grid.N)
+    steps = _step_count(T, grid.N)
     state = _ingest(grid, mu0)
     times, states, masses, radii, exact = [], [], [], [], []
 

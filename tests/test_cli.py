@@ -66,6 +66,37 @@ class TestDistanceCommand:
         assert main(["distance", str(va), str(vb), "--metric", "fiber-wg"]) == 0
         assert json.loads(capsys.readouterr().out)["distance"] == pytest.approx(0.0, abs=1e-9)
 
+    def test_simplex_failure_exits_2(self, dirac_files, capsys, monkeypatch):
+        import measureflow.wasserstein
+        from measureflow._simplex import SimplexError
+
+        def fail(*args, **kwargs):
+            raise SimplexError("pivot limit 0 exceeded")
+
+        monkeypatch.setattr(measureflow.wasserstein, "solve_transport", fail)
+        assert main(["distance", *dirac_files, "--metric", "w1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: SimplexError: pivot limit 0 exceeded\n"
+
+    def test_fiber_lp_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        import types
+
+        import measureflow.fiber
+
+        def fail(*args, **kwargs):
+            return types.SimpleNamespace(status=2, message="The problem is infeasible.")
+
+        monkeypatch.setattr(measureflow.fiber, "linprog", fail)
+        va = tmp_path / "va.json"
+        vb = tmp_path / "vb.json"
+        va.write_text(json.dumps({"dim": 1, "atoms": [[0.0, 0.0, 1.0]]}))
+        vb.write_text(json.dumps({"dim": 1, "atoms": [[0.5, 0.0, 1.0]]}))
+        for metric in ("fiber-w", "fiber-wg"):
+            assert main(["distance", str(va), str(vb), "--metric", metric]) == 2
+            err = capsys.readouterr().err
+            assert err == "error: SolverError: fiber LP failed: The problem is infeasible.\n"
+
 
 class TestSimulateCommand:
     def test_row_count_and_summary(self, tmp_path):

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
+import measureflow.fiber
 from conftest import random_lifted
 from measureflow.errors import MassMismatch
 from measureflow.fiber import (
+    _marginal_matrix,
     check_ww_inequalities,
     fiber_w,
     fiber_w_solution,
@@ -189,3 +192,42 @@ class TestWwInequalities:
             V1 = random_lifted(rng, int(rng.integers(1, 5)))
             V2 = random_lifted(rng, int(rng.integers(1, 5)))
             assert check_ww_inequalities(V1, V2)
+
+
+class TestMarginalMatrix:
+    @staticmethod
+    def _dense(n1, n2):
+        """The dense construction the sparse one replaced."""
+        rows = np.zeros((n1, n1 * n2))
+        for i in range(n1):
+            rows[i, i * n2 : (i + 1) * n2] = 1.0
+        cols = np.zeros((n2, n1 * n2))
+        for j in range(n2):
+            cols[j, j::n2] = 1.0
+        return rows, cols
+
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 4), (3, 1), (2, 3), (4, 4), (5, 7)])
+    def test_equals_dense_build(self, n1, n2):
+        rows, cols = _marginal_matrix(n1, n2)
+        want_rows, want_cols = self._dense(n1, n2)
+        assert sparse.issparse(rows) and sparse.issparse(cols)
+        np.testing.assert_array_equal(rows.toarray(), want_rows)
+        np.testing.assert_array_equal(cols.toarray(), want_cols)
+        x = np.arange(n1 * n2, dtype=float)
+        np.testing.assert_array_equal(rows @ x, x.reshape(n1, n2).sum(axis=1))
+        np.testing.assert_array_equal(cols @ x, x.reshape(n1, n2).sum(axis=0))
+
+    def test_lps_get_sparse_constraints(self, rng, monkeypatch):
+        seen = []
+        real = measureflow.fiber.linprog
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("A_eq", kwargs.get("A_ub")))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(measureflow.fiber, "linprog", spy)
+        V1 = random_lifted(rng, 4, weights=[0.25] * 4)
+        V2 = random_lifted(rng, 5, weights=[0.2] * 5)
+        fiber_w(V1, V2)
+        fiber_wg(V1, V2)
+        assert len(seen) == 2 and all(sparse.issparse(a) for a in seen)

@@ -299,6 +299,20 @@ class TestRunSemigroup:
                 translated.final_state, d([translated.final_time])
             ).distance <= 2.0 / n
 
+    @pytest.mark.parametrize("T, n", [(0.1, 10), (0.01, 100)])
+    def test_decimal_T_takes_one_step(self, T, n):
+        # the binary double of T lies just above T, and ceil(T N) used to
+        # take a second step and report a final time of 2 / N
+        traj = run_semigroup(LatticeGrid(N=n, dim=1), d([0.0]), constant_pvf(1.0), None, T)
+        assert len(traj.states) == 2
+        assert traj.final_time == 1 / n
+        assert traj.final_state == d([1 / n])
+
+    def test_step_count_still_rounds_up_off_grid_T(self):
+        traj = run_semigroup(LatticeGrid(N=4, dim=1), d([0.0]), constant_pvf(0.0), None, 0.3)
+        assert len(traj.states) == 3  # ceil(1.2) steps
+        assert traj.final_time == 0.5
+
     def test_predicted_reach_uses_velocity_bound(self):
         assert predicted_reach(d([0.0]), constant_pvf(1.0), None, 1.0) == pytest.approx(2.0)
         unbounded = PvfSpec.deterministic(lambda x: x, growth_constant=1.0)
