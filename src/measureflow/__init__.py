@@ -12,6 +12,7 @@ from .errors import (
     LipschitzViolation,
     MassMismatch,
     MeasureflowError,
+    ProfileRangeError,
     SolverError,
     SupportOverflow,
 )
@@ -62,6 +63,7 @@ __all__ = [
     "MeasureflowError",
     "PiecewiseLinear",
     "ProblemSpec",
+    "ProfileRangeError",
     "PvfSpec",
     "SignedDecomposition",
     "SolverError",

@@ -4,7 +4,6 @@ semigroup probes and short-time germ compatibility checks."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -246,7 +245,11 @@ def convergence_study(
 ) -> ConvergenceReport:
     """Distances between consecutive-level runs at shared step times, plus
     distances to the exact reference when the problem declares one, with a
-    least-squares convergence rate."""
+    least-squares convergence rate.
+
+    Levels run one after another; ``threads`` is accepted and ignored (a
+    thread pool measured slower than serial runs under the GIL), so results
+    never depend on it."""
     levels = sorted(set(int(n) for n in n_list))
     if len(levels) < 3:
         raise ValueError("convergence_study needs at least 3 levels")
@@ -260,11 +263,7 @@ def convergence_study(
         except SupportOverflow:
             return None
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(run_level, levels))
-    else:
-        runs = [run_level(n) for n in levels]
+    runs = [run_level(n) for n in levels]
 
     excluded = tuple(n for n, r in zip(levels, runs) if r is None)
     usable = [(n, r) for n, r in zip(levels, runs) if r is not None]

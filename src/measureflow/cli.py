@@ -466,7 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="run configuration JSON")
         p.add_argument("--preset", help="built-in problem: translate | diffusion1d | source-only")
-        p.add_argument("--threads", type=int, default=1, help="parallelism degree")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted and ignored: runs are serial, and results "
+                            "never depend on this flag")
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit timestamps for byte-reproducible outputs")
 

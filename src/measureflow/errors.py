@@ -33,5 +33,10 @@ class ConfigError(MeasureflowError, ValueError):
     """Invalid run configuration or input file schema."""
 
 
+class ProfileRangeError(MeasureflowError, ValueError):
+    """A diffusion profile was queried outside its breakpoint table; the
+    table must cover [0, |mu_t|] over the whole run."""
+
+
 class SolverError(MeasureflowError, RuntimeError):
     """A transport or LP solver failed to return a certified optimum."""

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ProfileRangeError
 from .flat import generalized_wasserstein
 from .measures import DiscreteMeasure, LiftedMeasure
 
@@ -33,8 +33,8 @@ class PiecewiseLinear:
     """Monotone nondecreasing profile given as a breakpoint table.
 
     Evaluation interpolates linearly between knots; querying outside the
-    knot range is an error (the table must cover [0, total mass] when used
-    as a diffusion profile).
+    knot range raises ProfileRangeError (the table must cover [0, total
+    mass] over the whole run when used as a diffusion profile).
     """
 
     knots: tuple[float, ...]
@@ -55,17 +55,24 @@ class PiecewiseLinear:
         pairs = sorted((float(s), float(v)) for s, v in table)
         return cls(knots=tuple(s for s, _ in pairs), values=tuple(v for _, v in pairs))
 
-    def __call__(self, s: float) -> float:
+    def evaluate(self, s: np.ndarray) -> np.ndarray:
+        """phi at every entry of ``s``.  Per entry: clamp to the knot range,
+        take the first segment whose right knot is >= s, and return
+        values[k] + t * (values[k+1] - values[k])."""
+        s = np.asarray(s, dtype=float)
         lo, hi = self.knots[0], self.knots[-1]
-        if s < lo - 1e-12 or s > hi + 1e-12:
-            raise ValueError(f"profile queried at {s} outside table range [{lo}, {hi}]")
-        s = min(max(s, lo), hi)
-        # linear scan; tables are tiny
-        for k in range(len(self.knots) - 1):
-            if s <= self.knots[k + 1]:
-                t = (s - self.knots[k]) / (self.knots[k + 1] - self.knots[k])
-                return self.values[k] + t * (self.values[k + 1] - self.values[k])
-        return self.values[-1]
+        inside = (s >= lo - 1e-12) & (s <= hi + 1e-12)
+        if not inside.all():
+            bad = float(s[~inside].flat[0])
+            raise ProfileRangeError(f"profile queried at {bad} outside table range [{lo}, {hi}]")
+        s = np.minimum(np.maximum(s, lo), hi)
+        knots, values = np.asarray(self.knots), np.asarray(self.values)
+        k = np.searchsorted(knots[1:], s)
+        t = (s - knots[k]) / (knots[k + 1] - knots[k])
+        return values[k] + t * (values[k + 1] - values[k])
+
+    def __call__(self, s: float) -> float:
+        return float(self.evaluate(np.array([s], dtype=float))[0])
 
     def bound(self) -> float:
         return max(abs(v) for v in self.values)
@@ -179,14 +186,16 @@ class PvfSpec:
         weight types stay exact.
         """
         q = self.quadrature_points
+        pieces, abscissae = [], []
         cumulative = 0
         for pos, w in atoms:
             f_left = cumulative
             cumulative = cumulative + w
             for i in range(1, q + 1):
-                s = f_left + (2 * i - 1) * w / (2 * q)
-                vel = (self.phi(float(s)),)
-                yield pos, vel, w / q
+                abscissae.append(float(f_left + (2 * i - 1) * w / (2 * q)))
+                pieces.append((pos, w / q))
+        velocities = self.phi.evaluate(np.array(abscissae, dtype=float)).tolist()
+        return [(pos, (v,), w) for (pos, w), v in zip(pieces, velocities)]
 
     def check_growth(self, mu: DiscreteMeasure, lifted: LiftedMeasure | None = None,
                      slack: float = 1e-9) -> bool:

@@ -2,15 +2,36 @@
 
 Level N uses time step 1/N, velocity step 1/N and space step 1/N^2, so one
 Euler step maps grid-aligned measures to grid-aligned measures: moving a
-space cell i by a velocity cell j lands on space cell i + j.  The stepper
-exploits this by working on integer cell indices, and keeps atom weights as
-exact rationals so that mass bookkeeping is exact over arbitrarily many
-steps (the scheme conserves mass identically in exact arithmetic; floats
-would drift at the ulp level after a few dozen quadrature splits).
+space cell i by a velocity cell j lands on space cell i + j.
 
 One step, in order: lift the state through the PVF, quantize the lift in
 space and velocity, move every quantized atom by dt * velocity, then add
 dt times the space-quantized source.  No operator fusion.
+
+State.  The stepper works on integer cell indices with exact weights: an
+int64 array of unique space cells, shape (n, dim), in lexicographic order,
+and one positive Python-int numerator per cell over one shared
+denominator.  The weights stay exact over any number of steps (the scheme
+conserves mass identically; floats would drift at the ulp level after a
+few dozen quadrature splits).  A quadrature split multiplies the
+denominator by q and the source by N and a power of two, and the fraction
+is reduced by the gcd once per step.  Numerators are Python ints because
+the denominator outgrows 64 bits within a few dozen steps.
+
+Same floats as a stepper over per-atom Fractions.  A weight is emitted as
+``num / den``; int / int is correctly rounded, so it is float(Fraction)
+whatever factors the shared denominator carries.  Diffusion quadrature
+abscissae are integers over 2 q den and convert the same way.  The array
+snap (``_snap``) and profile (``PiecewiseLinear.evaluate``) do the same
+float operations in the same order as their per-point forms.  Below the
+level bound (``_check_level``) the anchors round(k / N^2, 12) re-snap to k
+and increase with k, so sorted cells give sorted positions and each state
+is emitted once, as an already-canonical DiscreteMeasure.
+
+Sub-floor atoms.  An exact atom lighter than ``WEIGHT_FLOOR`` stays in the
+state and keeps moving (its velocity is evaluated, it feeds the diffusion
+quadrature), but the recorded DiscreteMeasure leaves it out, as the
+canonical form does; ``Trajectory.exact_masses`` counts it.
 """
 
 from __future__ import annotations
@@ -18,11 +39,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .errors import SupportOverflow
+import numpy as np
+
+from .errors import ConfigError, DimensionMismatch, ProfileRangeError, SupportOverflow
 from .fields import PvfSpec, SourceSpec
-from .measures import DiscreteMeasure, LiftedMeasure
+from .measures import (
+    POSITION_DECIMALS,
+    WEIGHT_FLOOR,
+    DiscreteMeasure,
+    LiftedMeasure,
+    _quantize,
+)
 
 IndexVec = tuple[int, ...]
 
@@ -36,6 +65,14 @@ _SNAP_REL = 1e-12
 def _snap_scalar(t: float, cells_per_unit: int) -> int:
     eps = _SNAP_ABS + 1e-12 * cells_per_unit + _SNAP_REL * abs(t)
     return math.floor(t + eps)
+
+
+def _snap(values: np.ndarray, cells_per_unit: int) -> np.ndarray:
+    """Cell indices of ``values``: _snap_scalar(c * cells_per_unit,
+    cells_per_unit) for every entry c, with the same float operations."""
+    t = values * cells_per_unit
+    eps = (_SNAP_ABS + 1e-12 * cells_per_unit) + _SNAP_REL * np.abs(t)
+    return np.floor(t + eps).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -150,89 +187,229 @@ def av_discretize(grid: LatticeGrid, lifted: LiftedMeasure) -> LiftedMeasure:
     )
 
 
-# -- exact stepping engine ------------------------------------------------------
-
-ExactState = dict[IndexVec, Fraction]
+# -- exact stepping kernel -------------------------------------------------------
 
 
-def _ingest(grid: LatticeGrid, mu: DiscreteMeasure) -> ExactState:
-    state: ExactState = {}
-    for pos, w in mu.atoms:
-        idx = grid.space_index(pos)
-        state[idx] = state.get(idx, Fraction(0)) + Fraction(w)
-    return {idx: w for idx, w in state.items() if w > 0}
+class _State(NamedTuple):
+    """Exact lattice measure: atom i weighs nums[i] / den at space cell cells[i]."""
+
+    cells: np.ndarray  # (n, dim) int64, unique rows in lexicographic order
+    nums: np.ndarray  # (n,) object array of positive Python ints
+    den: int
 
 
-def _emit(grid: LatticeGrid, state: ExactState, dim: int) -> DiscreteMeasure:
-    return DiscreteMeasure.from_atoms(
-        ((grid.space_anchor(idx), float(w)) for idx, w in state.items()), dim=dim
+class _Anchors(dict):
+    """Cell index k -> anchor coordinate round(k / cells_per_unit, 12), with
+    -0.0 normalized as measure construction does; filled on first use."""
+
+    def __init__(self, cells_per_unit: int):
+        super().__init__()
+        self.cells_per_unit = cells_per_unit
+
+    def __missing__(self, k: int) -> float:
+        value = self[k] = _quantize(k / self.cells_per_unit, POSITION_DECIMALS)
+        return value
+
+    def positions(self, cells: np.ndarray) -> np.ndarray:
+        flat = map(self.__getitem__, cells.ravel().tolist())
+        return np.fromiter(flat, dtype=float, count=cells.size).reshape(cells.shape)
+
+
+def _check_level(grid: LatticeGrid, reach: float) -> None:
+    """Reject levels whose anchors would not snap back to their cells.
+
+    An anchor round(k/N^2, 12) lies within 5e-13 of k/N^2, so re-snapping
+    it lands at most 1e-12 N^2 (1.5 + |x|) + 1e-9 index units above k
+    (anchor error plus the snap epsilon).  Kept below half a cell over the
+    radius ``reach``, every anchor re-snaps to its k and the anchors
+    increase strictly with k; cell indices must also be exact in a float.
+    """
+    n2 = grid.N * grid.N
+    if 1e-12 * n2 * (1.5 + reach) + 1e-9 >= 0.5 or reach * n2 >= 2.0**53:
+        raise ConfigError(
+            f"level N={grid.N} is too fine for support radius {reach:.6g}: grid "
+            "anchors at 12 decimals would not snap back to their cells "
+            "(need 1e-12 N^2 (1.5 + radius) < 0.5)"
+        )
+
+
+def _outside(values: np.ndarray, extent: float) -> tuple[float, ...] | None:
+    """The first row of ``values`` with a coordinate beyond the extent, if any."""
+    rows = (np.abs(values) > extent + 1e-9).any(axis=1)
+    return tuple(values[np.argmax(rows)].tolist()) if rows.any() else None
+
+
+def _cells(values: np.ndarray, cells_per_unit: int, extent: float, name: str) -> np.ndarray:
+    """Cell indices of the rows of ``values``, which must lie in the extent
+    box (grid.space_index or grid.velocity_index of every row)."""
+    row = _outside(values, extent)
+    if row is not None:
+        raise SupportOverflow(f"{name} {row} outside the extent [-{extent}, {extent}]^n")
+    return _snap(values, cells_per_unit)
+
+
+def _space_cells(grid: LatticeGrid, positions: np.ndarray) -> np.ndarray:
+    return _cells(positions, grid.N * grid.N, grid.space_extent, "position")
+
+
+def _velocity_cells(grid: LatticeGrid, velocities: np.ndarray) -> np.ndarray:
+    return _cells(velocities, grid.N, grid.velocity_extent, "velocity")
+
+
+def _dyadic(weights: Iterable[float]) -> tuple[np.ndarray, int]:
+    """Float weights as exact numerators over one power-of-two denominator."""
+    ratios = [w.as_integer_ratio() for w in weights]
+    den = max((d for _, d in ratios), default=1)
+    return np.array([p * (den // d) for p, d in ratios], dtype=object), den
+
+
+def _merge(parts: list[tuple[np.ndarray, np.ndarray, int]]) -> _State:
+    """Sum weighted cells (cells, nums, den) into one reduced state."""
+    den = math.lcm(*(d for _, _, d in parts))
+    cells = np.concatenate([c for c, _, _ in parts])
+    nums = np.concatenate([n if d == den else n * (den // d) for _, n, d in parts])
+    if not len(nums):
+        return _State(cells, nums, 1)
+    order = np.lexsort(cells.T[::-1])
+    cells, nums = cells[order], nums[order]
+    first = np.ones(len(cells), dtype=bool)
+    first[1:] = (cells[1:] != cells[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    cells, nums = cells[starts], np.add.reduceat(nums, starts)
+    g = math.gcd(den, *nums.tolist())
+    if g > 1:
+        nums, den = nums // g, den // g
+    return _State(cells, nums, den)
+
+
+def _ingest(grid: LatticeGrid, mu: DiscreteMeasure) -> _State:
+    nums, den = _dyadic(mu.weights())
+    return _merge([(_space_cells(grid, mu.positions_array()), nums, den)])
+
+
+def _emit(
+    grid: LatticeGrid, state: _State, anchors: _Anchors, step: int
+) -> tuple[np.ndarray, DiscreteMeasure]:
+    """Anchor positions of all cells, and the canonical measure of the atoms
+    at or above WEIGHT_FLOOR.  After a step (``step`` > 0) every anchor must
+    lie in the space extent."""
+    positions = anchors.positions(state.cells)
+    anchor = _outside(positions, grid.space_extent) if step > 0 else None
+    if anchor is not None:
+        raise SupportOverflow(f"atom at {anchor} left the space extent", step_index=step)
+    weights = (state.nums / state.den).tolist()
+    kept = np.array(weights) >= WEIGHT_FLOOR
+    recorded = positions[kept]
+    off = (_snap(recorded, anchors.cells_per_unit) != state.cells[kept]).any(axis=1)
+    if off.any():
+        atom = tuple(recorded[np.argmax(off)].tolist())
+        raise AssertionError(f"state left the lattice at step {step}: atom {atom}")
+    atoms = tuple(
+        (tuple(pos), w) for pos, w in zip(positions.tolist(), weights) if w >= WEIGHT_FLOOR
+    )
+    return positions, DiscreteMeasure(atoms=atoms, dim=grid.dim)
+
+
+def _lift(
+    grid: LatticeGrid,
+    state: _State,
+    positions: np.ndarray,
+    snapshot: DiscreteMeasure,
+    pvf: PvfSpec,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """av_discretize(V[state]) with exact weights: (space cells, velocity
+    cells, nums, den).  ``positions`` are the anchors of ``state.cells`` and
+    ``snapshot`` the emitted measure of ``state``."""
+    dim = grid.dim
+    if pvf.kind == "deterministic":
+        velocities = np.array([pvf.velocity(x) for x in positions], dtype=float)
+        if len(positions) and velocities.shape != positions.shape:
+            raise DimensionMismatch(
+                f"velocity field returned shape {velocities.shape[1:]} in dim {dim}"
+            )
+        velocities = velocities.reshape(positions.shape)
+        return state.cells, _velocity_cells(grid, velocities), state.nums, state.den
+    if pvf.kind == "diffusion1d":
+        if dim != 1:
+            raise DimensionMismatch("diffusion1d requires dim 1")
+        # atom a splits into q pieces at the cumulative-mass midpoints
+        # F(x_a-) + (2i - 1) w_a / 2q, i = 1..q: integers over 2 q den
+        q = pvf.quadrature_points
+        abscissae = []
+        below = 0
+        for w in state.nums.tolist():
+            s = 2 * q * below + w
+            for _ in range(q):
+                abscissae.append(s)
+                s += 2 * w
+            below += w
+        den2 = 2 * q * state.den
+        cumulative = np.array([s / den2 for s in abscissae], dtype=float)
+        velocities = pvf.phi.evaluate(cumulative).reshape(-1, 1)
+        return (
+            np.repeat(state.cells, q, axis=0),
+            _velocity_cells(grid, velocities),
+            np.repeat(state.nums, q),
+            q * state.den,
+        )
+    lifted = pvf.evaluate(snapshot)  # custom: a float lift, converted exactly
+    bases = np.array([b for b, _, _ in lifted.atoms], dtype=float).reshape(-1, dim)
+    velocities = np.array([v for _, v, _ in lifted.atoms], dtype=float).reshape(-1, dim)
+    nums, den = _dyadic(w for _, _, w in lifted.atoms)
+    return _space_cells(grid, bases), _velocity_cells(grid, velocities), nums, den
+
+
+def _source(
+    grid: LatticeGrid, snapshot: DiscreteMeasure, src: SourceSpec, factor: Fraction
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """factor * ax_discretize(s[snapshot]) with exact weights."""
+    sigma = src.evaluate(snapshot)
+    if sigma.dim != grid.dim:
+        raise DimensionMismatch(f"source dim {sigma.dim} vs state dim {grid.dim}")
+    nums, den = _dyadic(sigma.weights())
+    return (
+        _space_cells(grid, sigma.positions_array()),
+        nums * factor.numerator,
+        den * factor.denominator,
     )
 
 
-def _quantized_lift(
-    grid: LatticeGrid, state: ExactState, pvf: PvfSpec, dim: int
-) -> dict[tuple[IndexVec, IndexVec], Fraction]:
-    """Exact-weight version of av_discretize(pvf.evaluate(state))."""
-    lift: dict[tuple[IndexVec, IndexVec], Fraction] = {}
-
-    def put(space_idx: IndexVec, vel_idx: IndexVec, w: Fraction):
-        key = (space_idx, vel_idx)
-        lift[key] = lift.get(key, Fraction(0)) + w
-
-    if pvf.kind == "deterministic":
-        import numpy as np
-
-        for idx, w in state.items():
-            anchor = grid.space_anchor(idx)
-            vel = tuple(float(c) for c in pvf.velocity(np.asarray(anchor)))
-            put(idx, grid.velocity_index(vel), w)
-    elif pvf.kind == "diffusion1d":
-        if dim != 1:
-            raise ValueError("diffusion1d requires dim 1")
-        atoms = sorted(
-            ((grid.space_anchor(idx), w, idx) for idx, w in state.items()),
-            key=lambda item: item[0],
-        )
-        for pos, vel, w in pvf._diffusion_pieces([(p, w) for p, w, _ in atoms]):
-            idx = grid.space_index(pos)
-            put(idx, grid.velocity_index(vel), w)
-    else:  # custom: float fallback, weights converted exactly afterwards
-        snapshot = _emit(grid, state, dim)
-        lifted = pvf.evaluate(snapshot)
-        for base, vel, w in lifted.atoms:
-            put(grid.space_index(base), grid.velocity_index(vel), Fraction(w))
-    return lift
-
-
-def _exact_step(
+def _step(
     grid: LatticeGrid,
-    state: ExactState,
+    state: _State,
+    positions: np.ndarray,
+    snapshot: DiscreteMeasure,
     pvf: PvfSpec | None,
     src: SourceSpec | None,
-    dim: int,
-) -> ExactState:
-    new: ExactState = {}
+) -> _State:
     if pvf is None:
-        new.update(state)
+        parts = [state]
     else:
-        for (space_idx, vel_idx), w in _quantized_lift(grid, state, pvf, dim).items():
-            moved = tuple(i + j for i, j in zip(space_idx, vel_idx))
-            # moved anchor = (i + j)/N^2 = x_i + dt * v_j, still on the grid
-            new[moved] = new.get(moved, Fraction(0)) + w
+        cells, vel_cells, nums, den = _lift(grid, state, positions, snapshot, pvf)
+        # moved anchor = (i + j)/N^2 = x_i + dt * v_j, still on the grid
+        parts = [(cells + vel_cells, nums, den)]
     if src is not None:
-        sigma = src.evaluate(_emit(grid, state, dim))
-        dt = Fraction(1, grid.N)
-        for pos, w in sigma.atoms:
-            idx = grid.space_index(pos)
-            new[idx] = new.get(idx, Fraction(0)) + Fraction(w) * dt
-    for idx in new:
-        anchor = grid.space_anchor(idx)
-        if any(abs(c) > grid.space_extent + 1e-9 for c in anchor):
-            raise SupportOverflow(f"atom at {anchor} left the space extent")
-    return {idx: w for idx, w in new.items() if w > 0}
+        parts.append(_source(grid, snapshot, src, Fraction(1, grid.N)))
+    return _merge(parts)
 
 
 # -- public scheme operations ---------------------------------------------------
+
+
+def _start(grid: LatticeGrid, mu: DiscreteMeasure, pvf: PvfSpec | None,
+           src: SourceSpec | None, caller: str):
+    """Checks on the grid-aligned ``mu``, then its anchors, exact state,
+    anchor positions and emitted measure."""
+    if mu.dim != grid.dim:
+        raise ValueError(f"measure dim {mu.dim} != grid dim {grid.dim}")
+    _check_level(grid, predicted_reach(mu, pvf, src, grid.dt))
+    if not grid.is_aligned(mu):
+        raise ValueError(
+            f"{caller} requires a grid-aligned measure; apply ax_discretize first"
+        )
+    anchors = _Anchors(grid.N * grid.N)
+    state = _ingest(grid, mu)
+    return (anchors, state, *_emit(grid, state, anchors, 0))
 
 
 def las_step(
@@ -247,10 +424,9 @@ def las_step(
     step).  With ``pvf=None`` this reduces to the pure source scheme; with
     ``src=None`` to pure transport.
     """
-    if not grid.is_aligned(mu):
-        raise ValueError("las_step requires a grid-aligned measure; apply ax_discretize first")
-    state = _ingest(grid, mu)
-    return _emit(grid, _exact_step(grid, state, pvf, src, mu.dim), mu.dim)
+    anchors, state, positions, snapshot = _start(grid, mu, pvf, src, "las_step")
+    new = _step(grid, state, positions, snapshot, pvf, src)
+    return _emit(grid, new, anchors, 1)[1]
 
 
 def interpolate(
@@ -262,26 +438,31 @@ def interpolate(
 ) -> DiscreteMeasure:
     """State at intermediate time tau in [0, dt] past the grid-aligned ``mu``.
 
-    Same construction as las_step with dt replaced by tau; the result need
-    not be grid-aligned.
+    Same construction as las_step with dt replaced by tau: the same exact
+    lift, each piece moved to x + tau * v, and tau times the source.  The
+    result need not be grid-aligned.
     """
     if tau < -1e-12 or tau > grid.dt + 1e-12:
         raise ValueError(f"tau={tau} outside [0, {grid.dt}]")
-    if not grid.is_aligned(mu):
-        raise ValueError("interpolate requires a grid-aligned measure")
-    atoms: list[tuple[tuple[float, ...], float]] = []
+    space, state, positions, snapshot = _start(grid, mu, pvf, src, "interpolate")
     if pvf is None:
-        atoms.extend(mu.atoms)
+        parts = [(positions, state.nums, state.den)]
     else:
-        lifted = av_discretize(grid, pvf.evaluate(mu))
-        for base, vel, w in lifted.atoms:
-            moved = tuple(x + tau * v for x, v in zip(base, vel))
-            atoms.append((moved, w))
+        cells, vel_cells, nums, den = _lift(grid, state, positions, snapshot, pvf)
+        velocities = _Anchors(grid.N).positions(vel_cells)
+        parts = [(space.positions(cells) + tau * velocities, nums, den)]
     if src is not None:
-        sigma = ax_discretize(grid, src.evaluate(mu))
-        for pos, w in sigma.atoms:
-            atoms.append((pos, w * tau))
-    return DiscreteMeasure.from_atoms(atoms, dim=mu.dim)
+        cells, nums, den = _source(grid, snapshot, src, Fraction(tau))
+        parts.append((space.positions(cells), nums, den))
+    den = math.lcm(*(d for _, _, d in parts))
+    merged: dict[tuple[float, ...], int] = {}
+    for points, nums, d in parts:
+        for point, num in zip(points.tolist(), (nums * (den // d)).tolist()):
+            key = tuple(_quantize(c, POSITION_DECIMALS) for c in point)
+            merged[key] = merged.get(key, 0) + num
+    return DiscreteMeasure.from_atoms(
+        ((pos, num / den) for pos, num in merged.items()), dim=mu.dim
+    )
 
 
 @dataclass(frozen=True)
@@ -382,7 +563,9 @@ def run_semigroup(
 
     Rejects upfront (SupportOverflow) when the growth envelope of the data
     cannot fit the extent; in adaptive-extent mode the extent is widened to
-    the envelope instead.
+    the envelope instead.  Also rejects upfront (ConfigError) a level N too
+    fine for the envelope radius, where 12-decimal anchors stop snapping
+    back to their cells.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -400,29 +583,32 @@ def run_semigroup(
             step_index=None,
         )
 
+    _check_level(grid, reach)
+
     steps = _step_count(T, grid.N)
+    anchors = _Anchors(grid.N * grid.N)
     state = _ingest(grid, mu0)
+    positions, snapshot = _emit(grid, state, anchors, 0)
     times, states, masses, radii, exact = [], [], [], [], []
 
-    def record(k: int, current: ExactState):
-        snapshot = _emit(grid, current, mu0.dim)
-        for pos, _ in snapshot.atoms:
-            if grid.space_anchor(grid.space_index(pos)) != pos:
-                raise AssertionError(f"state left the lattice at step {k}: atom {pos}")
-        total = sum(current.values(), Fraction(0))
+    def record(k: int):
+        total = Fraction(sum(state.nums.tolist()), state.den)
         times.append(k / grid.N)
         states.append(snapshot)
         masses.append(float(total))
         radii.append(snapshot.support_radius())
         exact.append(total)
 
-    record(0, state)
-    for k in range(steps):
+    record(0)
+    for k in range(1, steps + 1):
         try:
-            state = _exact_step(grid, state, pvf, src, mu0.dim)
+            state = _step(grid, state, positions, snapshot, pvf, src)
         except SupportOverflow as err:
-            raise SupportOverflow(str(err), step_index=k + 1) from None
-        record(k + 1, state)
+            raise SupportOverflow(str(err), step_index=k) from None
+        except ProfileRangeError as err:
+            raise ProfileRangeError(f"step {k}: {err}") from None
+        positions, snapshot = _emit(grid, state, anchors, k)
+        record(k)
 
     return Trajectory(
         grid=grid,

@@ -144,16 +144,23 @@ class DiscreteMeasure:
     def __add__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
         return self.add(other)
 
+    # scale and restrict keep positions and order, so the atoms stay canonical
+
     def scale(self, factor: float) -> "DiscreteMeasure":
         if factor < 0:
             raise ValueError("scale factor must be nonnegative")
-        return DiscreteMeasure.from_atoms(
-            ((pos, w * factor) for pos, w in self.atoms), dim=self.dim
-        )
+        atoms = []
+        for pos, w in self.atoms:
+            w = float(w * factor)
+            if not math.isfinite(w):
+                raise ValueError(f"non-finite atom weight {w}")
+            if w >= WEIGHT_FLOOR:
+                atoms.append((pos, w))
+        return DiscreteMeasure(atoms=tuple(atoms), dim=self.dim)
 
     def restrict(self, predicate: Callable[[Position], bool]) -> "DiscreteMeasure":
-        return DiscreteMeasure.from_atoms(
-            ((pos, w) for pos, w in self.atoms if predicate(pos)), dim=self.dim
+        return DiscreteMeasure(
+            atoms=tuple(atom for atom in self.atoms if predicate(atom[0])), dim=self.dim
         )
 
     # -- one-dimensional CDF ------------------------------------------------
