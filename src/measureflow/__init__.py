@@ -22,8 +22,6 @@ from .fields import (
     PiecewiseLinear,
     PvfSpec,
     SourceSpec,
-    evaluate_pvf,
-    evaluate_source,
     probe_s1_lipschitz,
     probe_v2_lipschitz,
 )
@@ -76,8 +74,6 @@ __all__ = [
     "builtin_problem",
     "check_ww_inequalities",
     "dual_lower_bound",
-    "evaluate_pvf",
-    "evaluate_source",
     "fiber_w",
     "fiber_wg",
     "generalized_wasserstein",

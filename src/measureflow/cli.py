@@ -18,6 +18,7 @@ import os
 import random
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -167,7 +168,7 @@ def _build_source(
 def _build_problem(config: dict, config_dir: Path) -> ProblemSpec:
     name = config.get("problem", "custom")
     constants = config.get("constants", {})
-    if name in ("translate", "diffusion1d", "source-only", "source_only"):
+    if name in ("translate", "diffusion1d", "source-only"):
         problem = builtin_problem(name)
     else:
         problem = ProblemSpec(
@@ -187,14 +188,10 @@ def _build_problem(config: dict, config_dir: Path) -> ProblemSpec:
         )
         problem = problem.with_initial(mu0)
     if "pvf" in config:
-        from dataclasses import replace
-
         problem = replace(
             problem, pvf=_build_pvf(config["pvf"], constants), reference=None
         )
     if "source" in config:
-        from dataclasses import replace
-
         src = _build_source(config["source"], constants, config_dir)
         if src is not None and "L" in constants:
             src = replace(src, lipschitz_constant=float(constants["L"]))
@@ -244,14 +241,22 @@ def cmd_simulate(args) -> int:
     traj = run_semigroup(grid, problem.initial, problem.pvf, problem.src, t_final)
     elapsed = time.perf_counter() - start
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["t", "atom_index", *[f"x{d+1}" for d in range(grid.dim)], "weight"])
+    # No field needs CSV quoting (ints and float reprs), so lines are joined
+    # directly.  Positions recur from state to state (lattice anchors): each
+    # one's text is made once per run.  Canonical positions hold no -0.0, so
+    # equal keys have equal text.
+    header = ["t", "atom_index", *[f"x{d+1}" for d in range(grid.dim)], "weight"]
+    lines = [",".join(header) + "\n"]
+    coords: dict[tuple[float, ...], str] = {}
     for t, state in zip(traj.times, traj.states):
+        t_text = repr(t)
         for index, (pos, w) in enumerate(state.atoms):
-            writer.writerow([repr(t), index, *[repr(c) for c in pos], repr(w)])
+            text = coords.get(pos)
+            if text is None:
+                text = coords[pos] = ",".join(map(repr, pos))
+            lines.append(f"{t_text},{index},{text},{w!r}\n")
     out = Path(args.out)
-    _write_atomic(out, buffer.getvalue())
+    _write_atomic(out, "".join(lines))
 
     summary = {
         "problem": problem.name,

@@ -12,6 +12,10 @@ coupling <= optimum + eps_opt`` (exact equality constraints on LP optima
 are numerically brittle); the resulting side-constrained LPs are no longer
 network problems and are solved with HiGHS.  Their marginal constraints
 are built as sparse matrices: a dense build takes O(n1 n2 (n1 + n2)) memory.
+
+scipy (``sparse`` and ``linprog``) is imported on the first LP, not with the
+package: no other command needs it, and it is most of the package's import
+time and memory.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .errors import DimensionMismatch, MassMismatch, SolverError
 from .flat import generalized_wasserstein
@@ -32,6 +34,28 @@ _HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
+
+
+def __getattr__(name: str):
+    """PEP 562: bind ``sparse``/``linprog`` as module globals on first use.
+
+    They stay module attributes, so a tracer or a test can replace them, and
+    the LPs look them up through ``_scipy`` on every call."""
+    if name == "sparse":
+        from scipy import sparse as value
+    elif name == "linprog":
+        from scipy.optimize import linprog as value
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def _scipy(name: str):
+    try:
+        return globals()[name]
+    except KeyError:
+        return __getattr__(name)
 
 
 @dataclass(frozen=True)
@@ -73,6 +97,7 @@ def _pair_costs(V1: LiftedMeasure, V2: LiftedMeasure):
 
 def _marginal_matrix(n1: int, n2: int):
     """Sparse rows summing a flattened (n1, n2) matrix by row and by column."""
+    sparse = _scipy("sparse")
     rows = sparse.kron(sparse.identity(n1), np.ones((1, n2)))
     cols = sparse.kron(np.ones((1, n1)), sparse.identity(n2))
     return rows, cols
@@ -111,6 +136,7 @@ def fiber_w_solution(
         eps_opt = 1e-9 * (1.0 + wstar)
     n1, n2 = len(V1.atoms), len(V2.atoms)
     base_cost, fiber_cost = _pair_costs(V1, V2)
+    sparse, linprog = _scipy("sparse"), _scipy("linprog")
     rows, cols = _marginal_matrix(n1, n2)
     A_eq = sparse.vstack([rows, cols]).tocsr()
     b_eq = np.concatenate(
@@ -162,6 +188,7 @@ def fiber_wg_solution(
     mass1, mass2 = V1.mass(), V2.mass()
     n1, n2 = len(V1.atoms), len(V2.atoms)
     base_cost, fiber_cost = _pair_costs(V1, V2)
+    sparse, linprog = _scipy("sparse"), _scipy("linprog")
     rows, cols = _marginal_matrix(n1, n2)
     A_ub = sparse.vstack([rows, cols, (base_cost - 2.0).reshape(1, -1)]).tocsr()
     b_ub = np.concatenate(

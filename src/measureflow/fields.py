@@ -307,17 +307,6 @@ class SourceSpec:
         raise ValueError(f"unknown source kind {self.kind!r}")
 
 
-# -- module-level op aliases --------------------------------------------------
-
-
-def evaluate_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> LiftedMeasure:
-    return spec.evaluate(mu)
-
-
-def evaluate_source(spec: SourceSpec, mu: DiscreteMeasure) -> DiscreteMeasure:
-    return spec.evaluate(mu)
-
-
 def probe_v2_lipschitz(
     spec: PvfSpec, samples: Iterable[tuple[DiscreteMeasure, DiscreteMeasure]]
 ) -> float:

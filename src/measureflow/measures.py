@@ -122,7 +122,13 @@ class DiscreteMeasure:
     def support_radius(self) -> float:
         if not self.atoms:
             return 0.0
-        return max(math.sqrt(math.fsum(c * c for c in pos)) for pos, _ in self.atoms)
+        # per-row fsum keeps the rounding of a per-atom sum in any dim; sqrt is
+        # monotone and correctly rounded, so sqrt(max) == max(sqrt).  Squares
+        # past the float range are inf, as with Python floats, and silent.
+        P = self.positions_array()
+        with np.errstate(over="ignore"):
+            squares = (P * P).tolist()
+        return math.sqrt(max(map(math.fsum, squares)))
 
     def integrate(self, f: Callable[[np.ndarray], float]) -> float:
         return math.fsum(w * float(f(np.asarray(pos))) for pos, w in self.atoms)

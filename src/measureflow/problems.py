@@ -82,7 +82,6 @@ _BUILTINS = {
     "translate": translate_problem,
     "diffusion1d": diffusion1d_problem,
     "source-only": source_only_problem,
-    "source_only": source_only_problem,
 }
 
 

@@ -58,6 +58,45 @@ class TestMass:
         assert DiscreteMeasure.empty(1).mass() == 0.0
 
 
+class TestSupportRadius:
+    @staticmethod
+    def _per_atom(measure):
+        return max(math.sqrt(math.fsum(c * c for c in pos)) for pos, _ in measure.atoms)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_equals_per_atom_form(self, dim):
+        rng = np.random.default_rng(dim)
+        specials = [-0.0, 0.0, 1e-160, 3e153, -7e150, 1e200, 0.1, -2.5]
+        for trial in range(40):
+            n = int(rng.integers(1, 30))
+            scale = 10.0 ** rng.integers(-8, 9, size=(n, dim))
+            coords = rng.standard_normal((n, dim)) * scale
+            if trial % 2:
+                mask = rng.random((n, dim)) < 0.3
+                coords[mask] = rng.choice(specials, size=int(mask.sum()))
+            # built directly: from_atoms would quantize and drop -0.0
+            measure = DiscreteMeasure(
+                atoms=tuple((tuple(row), 1.0) for row in coords.tolist()), dim=dim
+            )
+            assert measure.support_radius() == self._per_atom(measure)
+
+    def test_three_squares_round_as_one_sum(self):
+        # each b*b is under half an ulp of a*a but both together are over it,
+        # so a left-to-right float sum of the squares rounds differently
+        rng = np.random.default_rng(0)
+        differs = 0
+        for _ in range(50):
+            a = float(rng.uniform(1.42, 1.99))
+            b = math.sqrt(0.4 * math.ulp(a * a))
+            measure = DiscreteMeasure(atoms=(((0.5, -b, b), 1.0), ((a, b, b), 1.0)), dim=3)
+            assert measure.support_radius() == self._per_atom(measure)
+            differs += math.sqrt(a * a + b * b + b * b) != measure.support_radius()
+        assert differs > 10
+
+    def test_empty(self):
+        assert DiscreteMeasure.empty(2).support_radius() == 0.0
+
+
 class TestPushforward:
     def test_translation(self):
         m = DiscreteMeasure.dirac([0.0]).pushforward(lambda x: x + 1)

@@ -201,6 +201,31 @@ def test_preset_trajectory_digests(preset, n, tmp_path):
     assert digests == GOLDEN[preset, n]
 
 
+def test_2d_identity_source_digests(tmp_path):
+    """A 2D trajectory (20 atoms growing to 172), recorded from the csv.writer
+    output: the identity field with a proportional source, as in the
+    benchmark's simulate.identity_source at a smaller size."""
+    atoms = [[(7 * k % 19) / 19 - 0.5, (11 * k % 17) / 17 - 0.5, (k % 5 + 1) / 60]
+             for k in range(20)]
+    config = {
+        "problem": "custom",
+        "initial_measure": {"dim": 2, "atoms": atoms},
+        "pvf": {"kind": "deterministic", "velocity": {"type": "identity"}, "C": 1.0},
+        "source": {"kind": "proportional", "rate": 0.5, "R": 2.0},
+        "N": 8, "T": 1.0, "adaptive_extent": True,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--config", str(path), "--out", str(out), "--no-timestamp"]) == 0
+    digests = tuple(
+        hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (out, tmp_path / "traj.csv.summary.json")
+    )
+    assert digests == ("3488dad8166fb514613d56d83d339f3ebdb7b1a28bc28f2a38fddc53fc30e4b2",
+                       "31d889a36d505cdb01ccffa9f7dda65f7083148439904187eeb3407ec1656ebf")
+
+
 # -- array snap and profile -------------------------------------------------------
 
 
