@@ -4,13 +4,17 @@
     s.t. sum_j x_ij = supply_i,   sum_i x_ij = demand_j,   x >= 0
 
 The basis is a spanning tree of the bipartite graph, rooted at row 0.  The
-initial basis is the northwest-corner staircase, which for atoms sorted by
-position in one dimension is already the monotone (optimal) coupling, so
-those instances finish in a single pricing pass.  Pricing is vectorized
-Dantzig (most negative reduced cost, first index on ties); after a stretch
-of degenerate pivots the solver switches to Bland's smallest-index rule
-until a nondegenerate pivot occurs, which prevents cycling while keeping the
-pivot sequence deterministic.
+solver first builds the northwest-corner staircase and prices it once.  For
+atoms sorted by position in one dimension with balanced masses the
+staircase is the monotone (optimal) coupling, so those instances finish on
+that single pricing pass.  Elsewhere it is a poor start, and the solver
+replaces it by the matrix-minimum basis: arcs taken by increasing cost,
+each carrying as much as its row and column still hold, then joined into a
+spanning tree by zero-flow arcs.  That start needs a fraction of the
+staircase's pivots.  Pricing is vectorized Dantzig (most negative reduced
+cost, first index on ties); after a stretch of degenerate pivots the solver
+switches to Bland's smallest-index rule until a nondegenerate pivot occurs,
+which prevents cycling while keeping the pivot sequence deterministic.
 
 The tree is maintained incrementally (Ahuja, Magnanti and Orlin, *Network
 Flows*, 1993, ch. 11).  Parent and depth arrays persist across pivots; the
@@ -76,6 +80,77 @@ def _northwest_corner(supply: np.ndarray, demand: np.ndarray):
         else:
             j += 1
     return flows
+
+
+def _greedy_start(supply: np.ndarray, demand: np.ndarray, cost: np.ndarray):
+    """Matrix-minimum spanning-tree basis with exactly m + n - 1 arcs, keyed
+    like the staircase's.
+
+    Arcs are visited by increasing cost, ties by flat index.  An arc whose
+    row and column are both open carries ``min(a_i, b_j)`` of what they
+    still hold and closes the one it used up, the row on a tie.  A closed
+    row or column gets no later arc, so these arcs form a forest; zero-flow
+    arcs, visited in the same order, then join its components.  Like the
+    staircase, this absorbs a small supply/demand imbalance.
+    """
+    m, n = cost.shape
+    a = supply.astype(float).tolist()
+    b = demand.astype(float).tolist()
+    order = np.argsort(cost, axis=None, kind="stable").tolist()
+    row_open = [True] * m
+    col_open = [True] * n
+    open_rows, open_cols = m, n
+    flows: dict[int, float] = {}
+    for arc in order:
+        i, j = divmod(arc, n)
+        if not (row_open[i] and col_open[j]):
+            continue
+        f = min(a[i], b[j])
+        flows[arc] = max(f, 0.0)
+        if a[i] <= b[j]:
+            row_open[i] = False
+            open_rows -= 1
+            b[j] -= f
+        else:
+            col_open[j] = False
+            open_cols -= 1
+            a[i] -= f
+        if not (open_rows and open_cols):
+            break
+
+    root = list(range(m + n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for arc in flows:
+        i, j = divmod(arc, n)
+        root[find(i)] = find(m + j)
+    missing = m + n - 1 - len(flows)
+    for arc in order:
+        if not missing:
+            break
+        i, j = divmod(arc, n)
+        ri, rj = find(i), find(m + j)
+        if ri != rj:
+            root[ri] = rj
+            flows[arc] = 0.0
+            missing -= 1
+    return flows
+
+
+def _bland_window(m: int, n: int) -> int:
+    """Degenerate pivots in a row after which pricing switches to Bland's rule."""
+    return 2 * (m + n) + 10
+
+
+def _first_negative(reduced: np.ndarray, price_tol: float) -> int:
+    """Bland's rule: the smallest flat index with a negative reduced cost, or -1."""
+    mask = reduced.reshape(-1) < -price_tol
+    return int(np.argmax(mask)) if mask.any() else -1
 
 
 class _Tree:
@@ -212,54 +287,19 @@ def _refresh(reduced, cost, u, v, rows: list[int], cols: list[int]) -> None:
         reduced[:, idx] = cost[:, idx] - u[:, None] - v[None, idx]
 
 
-def solve_transport(
-    supply,
-    demand,
-    cost,
-    *,
-    tol: float = 1e-12,
-    max_iter: int | None = None,
-):
-    """Solve the balanced transportation LP exactly.
-
-    Returns ``(value, flows)`` with ``flows`` a dict ``{(i, j): flow > 0}``.
-    ``supply`` and ``demand`` must be nonnegative and (approximately)
-    balanced; the staircase start absorbs imbalance up to ~1e-9.
-    """
-    supply = np.asarray(supply, dtype=float)
-    demand = np.asarray(demand, dtype=float)
-    cost = np.asarray(cost, dtype=float)
-    m, n = cost.shape
-    if m == 0 or n == 0:
-        return 0.0, {}
-    if len(supply) != m or len(demand) != n:
-        raise ValueError("cost shape does not match supply/demand lengths")
-
-    flows = _northwest_corner(supply, demand)
-    tree = _Tree(m, n, flows)
-    u = np.zeros(m)
-    v = np.zeros(n)
-    tree.rebuild(cost, u, v)
-    reduced = cost - u[:, None] - v[None, :]
-
-    scale_c = 1.0 + float(np.max(np.abs(cost))) if cost.size else 1.0
-    price_tol = tol * scale_c
-    mass_scale = 1.0 + float(max(supply.sum(), demand.sum()))
-    degen_tol = tol * mass_scale
-
-    if max_iter is None:
-        max_iter = 2000 + 60 * (m + n)
-
+def _pivot(tree, flows, cost, u, v, reduced, price_tol, degen_tol, max_iter) -> None:
+    """Pivot until no reduced cost is below ``-price_tol``, updating the
+    tree, the flows, the potentials and the reduced costs in place."""
+    m, n = tree.m, tree.n
     bland = False
     degenerate_run = 0
-    bland_window = 2 * (m + n) + 10
+    bland_window = _bland_window(m, n)
 
     for _ in range(max_iter):
         if bland:
-            mask = reduced.reshape(-1) < -price_tol
-            if not mask.any():
+            flat = _first_negative(reduced, price_tol)
+            if flat < 0:
                 break
-            flat = int(np.argmax(mask))
         else:
             flat = int(np.argmin(reduced))
             if reduced.flat[flat] >= -price_tol:
@@ -310,6 +350,58 @@ def solve_transport(
             bland = False
     else:
         raise SimplexError(f"pivot limit {max_iter} exceeded")
+
+
+def _basis(m: int, n: int, flows: dict[int, float], cost: np.ndarray):
+    """The tree, potentials and reduced costs of a spanning-tree basis."""
+    tree = _Tree(m, n, flows)
+    u = np.zeros(m)
+    v = np.zeros(n)
+    tree.rebuild(cost, u, v)
+    return tree, u, v, cost - u[:, None] - v[None, :]
+
+
+def solve_transport(
+    supply,
+    demand,
+    cost,
+    *,
+    tol: float = 1e-12,
+    max_iter: int | None = None,
+):
+    """Solve the balanced transportation LP exactly.
+
+    Returns ``(value, flows)`` with ``flows`` a dict ``{(i, j): flow > 0}``.
+    ``supply`` and ``demand`` must be nonnegative and (approximately)
+    balanced; both starting bases absorb imbalance up to ~1e-9.
+
+    The northwest-corner staircase is built and priced once.  If that pass
+    finds it optimal (sorted, balanced 1D instances), it is the answer.
+    Otherwise the pivots start from the matrix-minimum basis instead.
+    """
+    supply = np.asarray(supply, dtype=float)
+    demand = np.asarray(demand, dtype=float)
+    cost = np.asarray(cost, dtype=float)
+    m, n = cost.shape
+    if m == 0 or n == 0:
+        return 0.0, {}
+    if len(supply) != m or len(demand) != n:
+        raise ValueError("cost shape does not match supply/demand lengths")
+
+    scale_c = 1.0 + float(np.max(np.abs(cost))) if cost.size else 1.0
+    price_tol = tol * scale_c
+    mass_scale = 1.0 + float(max(supply.sum(), demand.sum()))
+    degen_tol = tol * mass_scale
+
+    if max_iter is None:
+        max_iter = 2000 + 60 * (m + n)
+
+    flows = _northwest_corner(supply, demand)
+    tree, u, v, reduced = _basis(m, n, flows, cost)
+    if reduced.min() < -price_tol:
+        flows = _greedy_start(supply, demand, cost)
+        tree, u, v, reduced = _basis(m, n, flows, cost)
+        _pivot(tree, flows, cost, u, v, reduced, price_tol, degen_tol, max_iter)
 
     # Spanning-tree check and optimality certificate from a full rebuild:
     # every reduced cost nonnegative (up to noise).

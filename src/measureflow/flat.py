@@ -82,13 +82,6 @@ def _solution_from_entries(m1, m2, entries):
     )
 
 
-def _max_support_distance(m1: DiscreteMeasure, m2: DiscreteMeasure) -> float:
-    x = m1.positions_array()
-    y = m2.positions_array()
-    diff = x[:, None, :] - y[None, :, :]
-    return float(np.sqrt(np.sum(diff * diff, axis=2)).max())
-
-
 def generalized_wasserstein(m1: DiscreteMeasure, m2: DiscreteMeasure) -> GwSolution:
     """Exact optimum of the flat-metric LP with attainment witnesses."""
     if m1.dim != m2.dim:
@@ -104,9 +97,13 @@ def generalized_wasserstein(m1: DiscreteMeasure, m2: DiscreteMeasure) -> GwSolut
         )
 
     mass1, mass2 = m1.mass(), m2.mass()
+    x = m1.positions_array()
+    y = m2.positions_array()
+    diff = x[:, None, :] - y[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=2))
     if (
         abs(mass1 - mass2) <= _EQUAL_MASS_TOL * max(1.0, mass1, mass2)
-        and _max_support_distance(m1, m2) < _FULL_TRANSPORT_DIAMETER
+        and float(dist.max()) < _FULL_TRANSPORT_DIAMETER
     ):
         # removal can never beat transport here: route through balanced W1
         _, plan = wasserstein1(m1, m2)
@@ -116,10 +113,7 @@ def generalized_wasserstein(m1: DiscreteMeasure, m2: DiscreteMeasure) -> GwSolut
     supplies = np.concatenate([m1.weights_array(), [mass2]])
     demands = np.concatenate([m2.weights_array(), [mass1]])
     cost = np.zeros((n1 + 1, n2 + 1))
-    x = m1.positions_array()
-    y = m2.positions_array()
-    diff = x[:, None, :] - y[None, :, :]
-    cost[:n1, :n2] = np.sqrt(np.sum(diff * diff, axis=2)) - 2.0
+    cost[:n1, :n2] = dist - 2.0
     _, flows = solve_transport(supplies, demands, cost)
     entries = [
         (i, j, f) for (i, j), f in sorted(flows.items()) if i < n1 and j < n2

@@ -10,6 +10,7 @@ on this canonical form for deterministic behaviour.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -109,9 +110,9 @@ class DiscreteMeasure:
         return tuple(w for _, w in self.atoms)
 
     def positions_array(self) -> np.ndarray:
-        if not self.atoms:
-            return np.zeros((0, self.dim))
-        return np.array([pos for pos, _ in self.atoms], dtype=float)
+        coords = itertools.chain.from_iterable(pos for pos, _ in self.atoms)
+        count = len(self.atoms) * self.dim
+        return np.fromiter(coords, dtype=float, count=count).reshape(len(self.atoms), self.dim)
 
     def weights_array(self) -> np.ndarray:
         return np.array([w for _, w in self.atoms], dtype=float)

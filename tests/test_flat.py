@@ -192,3 +192,17 @@ class TestIntegralBound:
                 return a * math.sin(b * float(x[0]))
 
             assert integral_bound_check(f, m1, m2)
+
+
+def test_distance_matrix_built_once(monkeypatch):
+    """Equal masses too far apart for the W1 fast path: the distances that
+    rule it out are the ones the transport LP uses."""
+    calls = []
+    positions = DiscreteMeasure.positions_array
+    monkeypatch.setattr(
+        DiscreteMeasure, "positions_array", lambda self: calls.append(self) or positions(self)
+    )
+    m1 = DiscreteMeasure.from_atoms([((0.0,), 0.5), ((3.0,), 0.5)])
+    m2 = DiscreteMeasure.from_atoms([((0.5,), 0.5), ((9.0,), 0.5)])
+    assert generalized_wasserstein(m1, m2).distance == pytest.approx(0.25 + 0.5 + 0.5)
+    assert len(calls) == 2

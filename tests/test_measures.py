@@ -97,6 +97,28 @@ class TestSupportRadius:
         assert DiscreteMeasure.empty(2).support_radius() == 0.0
 
 
+class TestPositionsArray:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_equals_list_form(self, dim):
+        rng = np.random.default_rng(10 + dim)
+        for n in (1, 2, 17):
+            coords = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-8, 9, size=(n, dim))
+            coords[rng.random((n, dim)) < 0.3] = -0.0
+            # built directly: from_atoms would quantize and drop -0.0
+            measure = DiscreteMeasure(
+                atoms=tuple((tuple(row), 0.5) for row in coords.tolist()), dim=dim
+            )
+            got = measure.positions_array()
+            want = np.array([pos for pos, _ in measure.atoms], dtype=float)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_empty(self, dim):
+        got = DiscreteMeasure.empty(dim).positions_array()
+        assert got.dtype == np.float64 and got.shape == (0, dim)
+
+
 class TestPushforward:
     def test_translation(self):
         m = DiscreteMeasure.dirac([0.0]).pushforward(lambda x: x + 1)

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import linprog
 
+from measureflow import _simplex
 from measureflow._simplex import SimplexError, solve_transport
 from measureflow.errors import MeasureflowError, SolverError
 
@@ -49,7 +51,7 @@ def _lp_value(supply, demand, cost) -> float:
     return float(res.fun)
 
 
-def _check_solution(supply, demand, cost, value, flows, tol=1e-9):
+def _check_solution(supply, demand, cost, value, flows, tol=1e-9, lp=_lp_value):
     m, n = cost.shape
     plan = np.zeros((m, n))
     for (i, j), f in flows.items():
@@ -60,13 +62,26 @@ def _check_solution(supply, demand, cost, value, flows, tol=1e-9):
     np.testing.assert_allclose(plan.sum(axis=1), supply, rtol=0, atol=tol * scale)
     np.testing.assert_allclose(plan.sum(axis=0), demand, rtol=0, atol=tol * scale)
     assert value == math.fsum(cost[i, j] * f for (i, j), f in flows.items())
-    reference = _lp_value(supply, demand, cost)
+    reference = lp(supply, demand, cost)
     assert abs(value - reference) <= tol * max(1.0, abs(reference))
 
 
 def _weights(rng, n: int, mass: float) -> np.ndarray:
     w = rng.uniform(0.1, 1.0, n)
     return w * (mass / w.sum())
+
+
+def _count_pivots(monkeypatch) -> list:
+    """Spy on the cycle walk, which runs once per pivot; returns its call log."""
+    calls = []
+    cycle = _simplex._Tree.cycle
+
+    def spy(self, row, col_node):
+        calls.append((row, col_node))
+        return cycle(self, row, col_node)
+
+    monkeypatch.setattr(_simplex._Tree, "cycle", spy)
+    return calls
 
 
 class TestAgainstLinprog:
@@ -145,10 +160,10 @@ class TestErrors:
 
 # -- golden pivot outcomes ---------------------------------------------------------
 #
-# Exact flows of three small instances that need several pivots, some of them
-# degenerate, recorded from the solver that rebuilt the whole spanning tree
-# on every pivot.  Any change to the pivot sequence (pricing, tie-breaks, the
-# ratio test, potentials) changes at least one of these bits.
+# Exact flows of three small instances that need several pivots from the
+# matrix-minimum start, some of them degenerate, recorded from the solver that
+# starts there.  Any change to the start or the pivot sequence (pricing,
+# tie-breaks, potentials) changes at least one of these bits.
 
 
 def _golden_instances():
@@ -180,21 +195,20 @@ GOLDEN = {
             (2, 4): "0x1.a41a41a41a418p-7",
             (2, 11): "0x1.a41a41a41a428p-7",
             (3, 4): "0x1.a41a41a41a41ap-5",
-            (4, 0): "0x1.a41a41a41a419p-5",
-            (4, 1): "0x1.0000000000000p-57",
+            (4, 0): "0x1.a41a41a41a41ap-5",
             (4, 5): "0x1.a41a41a41a41ap-7",
             (5, 3): "0x1.3b13b13b13b14p-4",
-            (6, 4): "0x1.6f96f96f96f98p-4",
+            (6, 1): "0x1.6f96f96f96f97p-4",
             (7, 3): "0x1.a41a41a41a41cp-7",
             (7, 6): "0x1.a41a41a41a41ap-6",
             (7, 9): "0x1.0690690690690p-4",
             (8, 0): "0x1.3b13b13b13b14p-5",
-            (8, 10): "0x1.3b13b13b13b15p-4",
+            (8, 10): "0x1.3b13b13b13b14p-4",
             (9, 8): "0x1.a41a41a41a41ap-5",
-            (9, 11): "0x1.3b13b13b13b13p-4",
-            (10, 1): "0x1.6f96f96f96f97p-4",
+            (9, 11): "0x1.3b13b13b13b12p-4",
+            (10, 1): "0x1.0000000000000p-56",
             (10, 3): "0x1.a41a41a41a419p-5",
-            (10, 4): "0x1.0000000000000p-56",
+            (10, 4): "0x1.6f96f96f96f98p-4",
             (11, 2): "0x1.d89d89d89d89ep-4",
             (11, 7): "0x1.3b13b13b13b14p-5",
         },
@@ -202,22 +216,22 @@ GOLDEN = {
     "gw_2d": (
         "-0x1.b4aa01b4cd9e2p+0",
         {
-            (0, 0): "0x1.1111111111116p-5",
-            (0, 4): "0x1.111111111110fp-4",
-            (1, 0): "0x1.9999999999994p-5",
-            (1, 1): "0x1.99999999999a0p-5",
+            (0, 1): "0x1.1111111111114p-5",
+            (0, 4): "0x1.1111111111110p-4",
+            (1, 0): "0x1.5555555555555p-4",
+            (1, 1): "0x1.1111111111114p-6",
             (2, 1): "0x1.999999999999ap-4",
             (3, 2): "0x1.999999999999ap-4",
             (4, 3): "0x1.5555555555555p-4",
             (4, 7): "0x1.1111111111114p-6",
             (5, 4): "0x1.999999999999ap-4",
             (6, 5): "0x1.999999999999ap-4",
-            (7, 5): "0x1.999999999999ap-4",
+            (7, 2): "0x1.999999999999ap-4",
             (8, 7): "0x1.999999999999ap-4",
             (9, 8): "0x1.999999999999ap-4",
-            (10, 1): "0x1.11111111110fcp-6",
-            (10, 2): "0x1.3333333333333p-3",
-            (10, 5): "0x1.9999999999998p-5",
+            (10, 1): "0x1.1111111111104p-6",
+            (10, 2): "0x1.9999999999998p-5",
+            (10, 5): "0x1.3333333333333p-3",
             (10, 6): "0x1.5555555555555p-4",
             (10, 7): "0x1.9999999999996p-5",
             (10, 8): "0x1.3333333333333p-3",
@@ -236,9 +250,9 @@ GOLDEN = {
             (6, 11): "0x1.5555555555555p-4",
             (7, 4): "0x1.5555555555555p-4",
             (8, 1): "0x1.5555555555555p-4",
-            (9, 5): "0x1.5555555555555p-4",
+            (9, 2): "0x1.5555555555555p-4",
             (10, 8): "0x1.5555555555555p-4",
-            (11, 2): "0x1.5555555555555p-4",
+            (11, 5): "0x1.5555555555555p-4",
         },
     ),
 }
@@ -251,3 +265,194 @@ def test_golden_flows(name, instance):
     want_value, want_flows = GOLDEN[name]
     assert value.hex() == want_value
     assert {arc: f.hex() for arc, f in flows.items()} == want_flows
+
+
+def test_ratio_test_ties_go_to_the_first_arc():
+    """Equal weights on integer points with repeated atoms: the ratio test
+    ties, and the first backward arc of the cycle with the least flow leaves.
+    A ``<=`` test returns other, equally optimal, flows."""
+    x = np.array([[0, 2], [1, 2], [4, 4], [2, 4], [3, 2], [2, 4], [2, 2]], dtype=float)
+    y = np.array([[4, 1], [1, 0], [0, 3], [1, 0], [2, 0], [3, 4], [4, 2]], dtype=float)
+    w = np.full(7, 1.0 / 7)
+    value, flows = solve_transport(w, w, _distances(x, y))
+    assert value.hex() == "0x1.d745af9d6b8ebp+0"
+    assert sorted(flows) == [(0, 3), (1, 1), (2, 6), (3, 5), (4, 0), (5, 2), (6, 4)]
+    assert set(flows.values()) == {1.0 / 7}
+
+
+def test_golden_instances_take_several_pivots(monkeypatch):
+    """The golden flows above pin the pivot sequence only if there is one."""
+    pivots = _count_pivots(monkeypatch)
+    for _, instance in _golden_instances():
+        pivots.clear()
+        solve_transport(*instance)
+        assert len(pivots) >= 2
+
+
+# -- the matrix-minimum start -------------------------------------------------------
+
+
+def _check_start(supply, demand, cost, imbalance=0.0):
+    """A spanning tree of m + n - 1 arcs with flows >= 0 on the marginals."""
+    m, n = cost.shape
+    flows = _simplex._greedy_start(supply, demand, cost)
+    assert len(flows) == m + n - 1
+    root = list(range(m + n))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    plan = np.zeros((m, n))
+    for arc, f in flows.items():
+        i, j = divmod(arc, n)
+        ri, rj = find(i), find(m + j)
+        assert ri != rj  # no cycle, so m + n - 1 arcs span all nodes
+        root[ri] = rj
+        assert f >= 0.0
+        plan[i, j] = f
+    # mass left unshipped: within 1e-12 of none, plus any imbalance
+    left = np.concatenate([supply - plan.sum(axis=1), demand - plan.sum(axis=0)])
+    assert np.all(left >= -1e-12) and np.all(left <= abs(imbalance) + 1e-12)
+    assert left.sum() <= abs(imbalance) + 1e-12
+    return flows
+
+
+class TestGreedyStart:
+    @pytest.mark.parametrize("supply, demand, cost, want", [
+        # equal costs go by flat index; a zero-flow arc joins the two pieces
+        ([0.5, 0.5], [0.5, 0.5], [[1, 0], [0, 1]], [(1, 0.5), (2, 0.5), (0, 0.0)]),
+        # a tie closes the row, so column 0 takes a zero flow from row 1
+        ([0.5, 0.5], [0.5, 0.25, 0.25], [[0, 2, 3], [1, 4, 5]],
+         [(0, 0.5), (3, 0.0), (4, 0.25), (5, 0.25)]),
+    ])
+    def test_hand_examples(self, supply, demand, cost, want):
+        flows = _simplex._greedy_start(np.array(supply), np.array(demand), np.array(cost, float))
+        assert list(flows.items()) == want
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_2d(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        m, n = int(rng.integers(5, 40)), int(rng.integers(5, 40))
+        x, y = rng.uniform(0, 1, (m, 2)), rng.uniform(0, 1, (n, 2))
+        _check_start(_weights(rng, m, 1.0), _weights(rng, n, 1.0), _distances(x, y))
+
+    @pytest.mark.parametrize("k", [3, 5, 8])
+    def test_equal_weights_exhaust_row_and_column_together(self, k):
+        x = TestDegenerate._grid(k, (0, 0))
+        w = np.full(k * k, 1.0 / (k * k))
+        flows = _check_start(w, w, _distances(x, x + 1.0))
+        assert sum(f == 0.0 for f in flows.values()) >= k * k - 1
+
+    def test_zero_weight_atoms(self):
+        rng = np.random.default_rng(11)
+        x, y = rng.uniform(0, 1, (12, 2)), rng.uniform(0, 1, (10, 2))
+        supply, demand = _weights(rng, 12, 1.0), _weights(rng, 10, 1.0)
+        supply[[0, 5]] = 0.0
+        demand[[3]] = 0.0
+        supply *= 1.0 / supply.sum()
+        demand *= 1.0 / demand.sum()
+        cost = _distances(x, y)
+        _check_start(supply, demand, cost)
+        _check_solution(supply, demand, cost, *solve_transport(supply, demand, cost))
+
+    @pytest.mark.parametrize("imbalance", [5e-10, -5e-10])
+    def test_imbalance(self, imbalance):
+        rng = np.random.default_rng(12)
+        x, y = rng.uniform(0, 1, (15, 2)), rng.uniform(0, 1, (14, 2))
+        supply, demand = _weights(rng, 15, 1.0), _weights(rng, 14, 1.0)
+        supply[0] += imbalance
+        cost = _distances(x, y)
+        _check_start(supply, demand, cost, imbalance)
+        value, _ = solve_transport(supply, demand, cost)
+        supply[0] -= imbalance
+        assert value == pytest.approx(_lp_value(supply, demand, cost), rel=0, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 40, 200])
+    def test_sorted_balanced_1d_takes_no_pivot(self, monkeypatch, n):
+        pivots = _count_pivots(monkeypatch)
+        starts = []
+        monkeypatch.setattr(_simplex, "_greedy_start", lambda *a: starts.append(a))
+        rng = np.random.default_rng(n)
+        x = np.sort(rng.uniform(0, 1, n))[:, None]
+        y = np.sort(rng.uniform(0, 1, n))[:, None]
+        supply, demand = _weights(rng, n, 1.0), _weights(rng, n, 1.0)
+        solve_transport(supply, demand, _distances(x, y))
+        assert pivots == [] and starts == []
+
+    def test_unsorted_instance_starts_from_greedy(self, monkeypatch):
+        starts = []
+        greedy = _simplex._greedy_start
+        monkeypatch.setattr(_simplex, "_greedy_start", lambda *a: starts.append(a) or greedy(*a))
+        x = np.arange(10, dtype=float)[::-1, None]
+        w = np.full(10, 0.1)
+        value, flows = solve_transport(w, w, _distances(x, x[::-1] + 0.5))
+        assert len(starts) == 1
+        assert sorted(flows) == [(i, 9 - i) for i in range(10)]
+        assert value == pytest.approx(0.5)
+
+
+def _sparse_lp_value(supply, demand, cost) -> float:
+    """``_lp_value`` with sparse constraints, for instances above 50 atoms."""
+    m, n = cost.shape
+    rows = sparse.kron(sparse.eye(m), np.ones((1, n)))
+    cols = sparse.kron(np.ones((1, m)), sparse.eye(n))
+    res = linprog(
+        cost.reshape(-1),
+        A_eq=sparse.vstack([rows, cols]).tocsr(),
+        b_eq=np.concatenate([supply, demand]),
+        bounds=(0, None),
+        method="highs",
+        options=_HIGHS_OPTIONS,
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+class TestAboveFiftyAtoms:
+    """HiGHS oracle at the sizes the benchmark solves."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_w1_2d_n100(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        x, y = rng.uniform(0, 1, (100, 2)), rng.uniform(0, 1, (100, 2))
+        supply, demand = _weights(rng, 100, 1.0), _weights(rng, 100, 1.0)
+        cost = _distances(x, y)
+        value, flows = solve_transport(supply, demand, cost)
+        _check_solution(supply, demand, cost, value, flows, lp=_sparse_lp_value)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_gw_1d_n150(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        x, y = rng.uniform(0, 4, (150, 1)), rng.uniform(0, 4, (150, 1))
+        supply, demand, cost = _gw_instance(x, _weights(rng, 150, 1.0), y, _weights(rng, 150, 1.3))
+        value, flows = solve_transport(supply, demand, cost)
+        _check_solution(supply, demand, cost, value, flows, lp=_sparse_lp_value)
+
+
+# -- Bland's rule -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k, shift", [(4, (1, 0)), (5, (1, 2)), (6, (2, 2))])
+def test_bland_rule_on_degenerate_lattice(monkeypatch, k, shift):
+    """With a window of one degenerate pivot, Bland's rule takes over on the
+    equal-weight lattice instances and still finds the optimum."""
+    x, y = TestDegenerate._grid(k, (0, 0)), TestDegenerate._grid(k, shift)
+    w = np.full(k * k, 1.0 / (k * k))
+    cost = _distances(x, y)
+    default, _ = solve_transport(w, w, cost)
+
+    bland_calls = []
+    first_negative = _simplex._first_negative
+
+    def spy(reduced, price_tol):
+        bland_calls.append(price_tol)
+        return first_negative(reduced, price_tol)
+
+    monkeypatch.setattr(_simplex, "_bland_window", lambda m, n: 1)
+    monkeypatch.setattr(_simplex, "_first_negative", spy)
+    value, flows = solve_transport(w, w, cost)
+    assert bland_calls
+    assert abs(value - default) <= 1e-12 * max(1.0, abs(default))
+    _check_solution(w, w, cost, value, flows)
