@@ -22,18 +22,17 @@ cycle closed by the entering arc is found by walking its two ends up to
 their lowest common ancestor, the deeper end first.  The leaving arc cuts
 off one subtree, which holds one end of the entering arc.  Only that subtree
 is re-hung, below the entering arc, and only its nodes get new depths and
-dual potentials and its rows and columns of the reduced-cost matrix
-recomputed.
+dual potentials.  The reduced-cost matrix is then recomputed in full, as
+``(c_ij - u_i) - v_j``.
 
 This gives the same results, bit for bit, as rebuilding the whole tree on
 every pivot.  A potential is ``cost[arc] - potential[parent]`` along the
 unique tree path from the root, so it depends on that path alone:
 recomputing the re-hung subtree top-down gives the bits a breadth-first
 pass over the whole tree would, and every other node keeps its path and its
-bits.  A reduced cost ``c_ij - u_i - v_j`` is evaluated in the same order of
-operations wherever it is refreshed, and entries whose ``u_i`` and ``v_j``
-did not change are left as they were.  Pricing thus sees the same matrix,
-so the pivot sequence, the flows and the value are unchanged.  A final full
+bits.  The staircase is a path, so its potentials are computed while it is
+built, by the same expressions.  Pricing thus sees the same matrix, so the
+pivot sequence, the flows and the value are unchanged.  A final full
 rebuild checks that the basis is a spanning tree and recomputes every
 reduced cost for the optimality certificate.
 """
@@ -47,39 +46,44 @@ import numpy as np
 
 from .errors import SolverError
 
-# Re-hung subtrees with at most this many rows (or columns) refresh their
-# reduced costs one basic slice at a time; larger ones use one fancy-index pass.
-_SLICE_LIMIT = 4
-
 
 class SimplexError(SolverError):
     """Internal failure of the transportation solver (should never happen)."""
 
 
-def _northwest_corner(supply: np.ndarray, demand: np.ndarray):
+def _northwest_corner(supply: np.ndarray, demand: np.ndarray, cost: np.ndarray):
     """Initial spanning-tree basis with exactly m + n - 1 arcs, keyed by the
-    flat index ``i * n + j`` of arc ``(i, j)``."""
-    m, n = len(supply), len(demand)
-    a = supply.astype(float).copy()
-    b = demand.astype(float).copy()
+    flat index ``i * n + j`` of arc ``(i, j)``, and its potentials ``u, v``.
+
+    The staircase is a path on which each arc reaches one new node from one
+    already joined to row 0, so that node's potential is the arc's cost less
+    the other end's: the bits ``_Tree.rebuild`` would give it.
+    """
+    m, n = cost.shape
+    a = supply.tolist()
+    b = demand.tolist()
+    u = [0.0] * m
+    v = [0.0] * n
     flows: dict[int, float] = {}
     i = j = 0
+    new_col = True  # arc (0, 0) reaches column 0 from the root
     while True:
+        if new_col:
+            v[j] = cost.item(i, j) - u[i]
+        else:
+            u[i] = cost.item(i, j) - v[j]
         f = min(a[i], b[j])
         flows[i * n + j] = max(f, 0.0)
         a[i] -= f
         b[j] -= f
         if i == m - 1 and j == n - 1:
             break
-        if j == n - 1:
-            i += 1
-        elif i == m - 1:
+        new_col = j < n - 1 and (i == m - 1 or not a[i] <= b[j])
+        if new_col:
             j += 1
-        elif a[i] <= b[j]:
-            i += 1
         else:
-            j += 1
-    return flows
+            i += 1
+    return flows, np.array(u), np.array(v)
 
 
 def _greedy_start(supply: np.ndarray, demand: np.ndarray, cost: np.ndarray):
@@ -96,17 +100,33 @@ def _greedy_start(supply: np.ndarray, demand: np.ndarray, cost: np.ndarray):
     m, n = cost.shape
     a = supply.astype(float).tolist()
     b = demand.astype(float).tolist()
-    order = np.argsort(cost, axis=None, kind="stable").tolist()
+    # By cost, then flat index: quicksort, then one integer sort puts each
+    # run of equal costs back in index order, the order of a stable sort.
+    flat = cost.reshape(-1)
+    order = np.argsort(flat)
+    key = order.copy()
+    key[1:] += np.cumsum(flat[order[1:]] != flat[order[:-1]]) * flat.size
+    order = np.sort(key) % flat.size
+    # memoryviews yield Python ints lazily, for the prefix the scans reach
+    rows, cols = (memoryview(x) for x in np.divmod(order, n))
     row_open = [True] * m
     col_open = [True] * n
     open_rows, open_cols = m, n
     flows: dict[int, float] = {}
-    for arc in order:
-        i, j = divmod(arc, n)
+    root = list(range(m + n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for i, j in zip(rows, cols):
         if not (row_open[i] and col_open[j]):
             continue
         f = min(a[i], b[j])
-        flows[arc] = max(f, 0.0)
+        flows[i * n + j] = max(f, 0.0)
+        root[find(i)] = find(m + j)
         if a[i] <= b[j]:
             row_open[i] = False
             open_rows -= 1
@@ -118,26 +138,14 @@ def _greedy_start(supply: np.ndarray, demand: np.ndarray, cost: np.ndarray):
         if not (open_rows and open_cols):
             break
 
-    root = list(range(m + n))
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    for arc in flows:
-        i, j = divmod(arc, n)
-        root[find(i)] = find(m + j)
     missing = m + n - 1 - len(flows)
-    for arc in order:
+    for i, j in zip(rows, cols):
         if not missing:
             break
-        i, j = divmod(arc, n)
         ri, rj = find(i), find(m + j)
         if ri != rj:
             root[ri] = rj
-            flows[arc] = 0.0
+            flows[i * n + j] = 0.0
             missing -= 1
     return flows
 
@@ -233,13 +241,13 @@ class _Tree:
         cost: np.ndarray,
         u: np.ndarray,
         v: np.ndarray,
-    ) -> tuple[list[int], list[int]]:
+    ) -> None:
         """Swap the leaving arc (a flat index) for the entering arc
         ``below``-``top``.
 
         ``below`` is the entering arc's end inside the subtree the leaving
         arc cuts off.  That subtree is hung from ``top`` and its depths and
-        potentials are recomputed top-down; returns its rows and columns.
+        potentials are recomputed top-down.
         """
         m = self.m
         adj = self.adj
@@ -251,8 +259,6 @@ class _Tree:
         adj[top].add(below)
         adj[below].add(top)
         parent[below] = top
-        rows: list[int] = []
-        cols: list[int] = []
         stack = [below]
         while stack:
             node = stack.pop()
@@ -260,31 +266,12 @@ class _Tree:
             depth[node] = depth[up] + 1
             if node < m:  # col -> row arc (node, up - m)
                 u[node] = cost[node, up - m] - v[up - m]
-                rows.append(node)
             else:  # row -> col arc (up, node - m)
                 v[node - m] = cost[up, node - m] - u[up]
-                cols.append(node - m)
             for nbr in adj[node]:
                 if nbr != up:
                     parent[nbr] = node
                     stack.append(nbr)
-        return rows, cols
-
-
-def _refresh(reduced, cost, u, v, rows: list[int], cols: list[int]) -> None:
-    """Recompute ``cost - u - v`` on the given rows and columns only."""
-    if len(rows) <= _SLICE_LIMIT:
-        for i in rows:
-            reduced[i] = cost[i] - u[i] - v
-    else:
-        idx = np.array(rows)
-        reduced[idx] = cost[idx] - u[idx, None] - v[None, :]
-    if len(cols) <= _SLICE_LIMIT:
-        for j in cols:
-            reduced[:, j] = cost[:, j] - u - v[j]
-    else:
-        idx = np.array(cols)
-        reduced[:, idx] = cost[:, idx] - u[:, None] - v[None, idx]
 
 
 def _pivot(tree, flows, cost, u, v, reduced, price_tol, degen_tol, max_iter) -> None:
@@ -336,10 +323,11 @@ def _pivot(tree, flows, cost, u, v, reduced, price_tol, degen_tol, max_iter) -> 
         # The walk climbs from the column end to the apex, so a leaving arc
         # before the apex cuts the column end off; otherwise the row end.
         if 2 * leave + 1 < apex:
-            rows, cols = tree.rehang(leaving, ei, m + ej, cost, u, v)
+            tree.rehang(leaving, ei, m + ej, cost, u, v)
         else:
-            rows, cols = tree.rehang(leaving, m + ej, ei, cost, u, v)
-        _refresh(reduced, cost, u, v, rows, cols)
+            tree.rehang(leaving, m + ej, ei, cost, u, v)
+        np.subtract(cost, u[:, None], out=reduced)
+        reduced -= v
 
         if theta <= degen_tol:
             degenerate_run += 1
@@ -396,12 +384,13 @@ def solve_transport(
     if max_iter is None:
         max_iter = 2000 + 60 * (m + n)
 
-    flows = _northwest_corner(supply, demand)
-    tree, u, v, reduced = _basis(m, n, flows, cost)
-    if reduced.min() < -price_tol:
+    flows, u, v = _northwest_corner(supply, demand, cost)
+    if (cost - u[:, None] - v[None, :]).min() < -price_tol:
         flows = _greedy_start(supply, demand, cost)
         tree, u, v, reduced = _basis(m, n, flows, cost)
         _pivot(tree, flows, cost, u, v, reduced, price_tol, degen_tol, max_iter)
+    else:
+        tree = _Tree(m, n, flows)
 
     # Spanning-tree check and optimality certificate from a full rebuild:
     # every reduced cost nonnegative (up to noise).

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._simplex import solve_transport
 from .errors import DimensionMismatch, LipschitzViolation
-from .measures import DiscreteMeasure, SignedDecomposition
+from .measures import WEIGHT_FLOOR, DiscreteMeasure, SignedDecomposition
 from .wasserstein import TransportPlan, wasserstein1
 
 BOUND_SLACK = 1e-9
@@ -49,6 +49,16 @@ class GwSolution:
         return self.plan.cost
 
 
+def _kept_atoms(measure, parts):
+    """Each atom capped at the flow through it, without those under the floor."""
+    kept = []
+    for (pos, w), flows in zip(measure.atoms, parts):
+        w = min(math.fsum(flows), w)
+        if w >= WEIGHT_FLOOR:
+            kept.append((pos, w))
+    return tuple(kept)
+
+
 def _solution_from_entries(m1, m2, entries):
     pos1 = [pos for pos, _ in m1.atoms]
     pos2 = [pos for pos, _ in m2.atoms]
@@ -59,18 +69,10 @@ def _solution_from_entries(m1, m2, entries):
     for i, j, f in entries:
         kept1_w[i].append(f)
         kept2_w[j].append(f)
-    kept1_atoms = []
-    for (pos, w), parts in zip(m1.atoms, kept1_w):
-        kept = min(math.fsum(parts), w)
-        if kept > 0:
-            kept1_atoms.append((pos, kept))
-    kept2_atoms = []
-    for (pos, w), parts in zip(m2.atoms, kept2_w):
-        kept = min(math.fsum(parts), w)
-        if kept > 0:
-            kept2_atoms.append((pos, kept))
-    kept1 = DiscreteMeasure.from_atoms(kept1_atoms, dim=m1.dim)
-    kept2 = DiscreteMeasure.from_atoms(kept2_atoms, dim=m2.dim)
+    # positions come from canonical measures in their order, so the kept
+    # parts are canonical as they stand
+    kept1 = DiscreteMeasure(atoms=_kept_atoms(m1, kept1_w), dim=m1.dim)
+    kept2 = DiscreteMeasure(atoms=_kept_atoms(m2, kept2_w), dim=m2.dim)
     removed1 = max(m1.mass() - kept1.mass(), 0.0)
     removed2 = max(m2.mass() - kept2.mass(), 0.0)
     distance = math.fsum([removed1, removed2, cost])

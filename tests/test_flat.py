@@ -8,7 +8,7 @@ from hypothesis import given
 from conftest import measures_1d, random_measure
 from measureflow.errors import DimensionMismatch, LipschitzViolation
 from measureflow.flat import generalized_wasserstein, gw_dual_probe, integral_bound_check
-from measureflow.measures import DiscreteMeasure
+from measureflow.measures import WEIGHT_FLOOR, DiscreteMeasure
 from measureflow.wasserstein import wasserstein1
 
 d = DiscreteMeasure.dirac
@@ -206,3 +206,49 @@ def test_distance_matrix_built_once(monkeypatch):
     m2 = DiscreteMeasure.from_atoms([((0.5,), 0.5), ((9.0,), 0.5)])
     assert generalized_wasserstein(m1, m2).distance == pytest.approx(0.25 + 0.5 + 0.5)
     assert len(calls) == 2
+
+
+def _kept_from_atoms(measure, plan, side):
+    """A kept part the long way: each atom capped at the flow through it,
+    canonicalized by ``from_atoms``; also the weights before the floor."""
+    parts = [[] for _ in measure.atoms]
+    for entry in plan.entries:
+        parts[entry[side]].append(entry[2])
+    weights = [min(math.fsum(p), w) for (_, w), p in zip(measure.atoms, parts)]
+    atoms = [(pos, w) for (pos, _), w in zip(measure.atoms, weights) if w > 0]
+    return DiscreteMeasure.from_atoms(atoms, dim=measure.dim), weights
+
+
+def _kept_part_pairs():
+    rng = np.random.default_rng(31)
+    for dim, offset in ((1, 0.0), (2, 0.0), (1, 9997.3), (2, -9998.6)):
+        # coordinates near 1e4 are spaced wider than the 1e-12 quantum
+        yield tuple(
+            DiscreteMeasure.from_atoms(
+                [(tuple(c + offset for c in pos), w) for pos, w in m.atoms], dim=dim)
+            for m in (random_measure(rng, 25, dim, 2.0), random_measure(rng, 20, dim, 2.0))
+        )
+    # equal masses within distance 2: the W1 fast path
+    yield (DiscreteMeasure.from_atoms([((0.0,), 0.5), ((0.7,), 0.5)]),
+           DiscreteMeasure.from_atoms([((0.2,), 0.25), ((0.9,), 0.75)]))
+    # the far atom of m1 ships the 2**-52 left at 0 rather than be removed:
+    # its flow is below WEIGHT_FLOOR
+    yield (DiscreteMeasure.from_atoms([((0.0,), 1.0 - 2**-52), ((0.5,), 1.0)]),
+           DiscreteMeasure.from_atoms([((0.0,), 1.0)]))
+
+
+def test_kept_parts_equal_from_atoms(monkeypatch):
+    fast_path = []
+    monkeypatch.setattr("measureflow.flat.wasserstein1",
+                        lambda m1, m2: fast_path.append(1) or wasserstein1(m1, m2))
+    below_floor = 0
+    for m1, m2 in _kept_part_pairs():
+        sol = generalized_wasserstein(m1, m2)
+        for side, measure, kept in ((0, m1, sol.kept1.kept), (1, m2, sol.kept2.kept)):
+            want, weights = _kept_from_atoms(measure, sol.plan, side)
+            assert kept.dim == want.dim
+            assert [(pos, w.hex()) for pos, w in kept.atoms] == [
+                (pos, w.hex()) for pos, w in want.atoms]
+            below_floor += sum(0 < w < WEIGHT_FLOOR for w in weights)
+    assert fast_path == [1]
+    assert below_floor >= 1

@@ -456,3 +456,133 @@ def test_bland_rule_on_degenerate_lattice(monkeypatch, k, shift):
     assert bland_calls
     assert abs(value - default) <= 1e-12 * max(1.0, abs(default))
     _check_solution(w, w, cost, value, flows)
+
+
+# -- the start's bookkeeping, against the forms it replaced ---------------------------
+
+
+def _stable_greedy_start(supply, demand, cost):
+    """``_greedy_start`` as first written: one stable argsort, divmod per arc."""
+    m, n = cost.shape
+    a = supply.astype(float).tolist()
+    b = demand.astype(float).tolist()
+    order = np.argsort(cost, axis=None, kind="stable").tolist()
+    row_open, col_open = [True] * m, [True] * n
+    open_rows, open_cols = m, n
+    flows = {}
+    for arc in order:
+        i, j = divmod(arc, n)
+        if not (row_open[i] and col_open[j]):
+            continue
+        f = min(a[i], b[j])
+        flows[arc] = max(f, 0.0)
+        if a[i] <= b[j]:
+            row_open[i] = False
+            open_rows -= 1
+            b[j] -= f
+        else:
+            col_open[j] = False
+            open_cols -= 1
+            a[i] -= f
+        if not (open_rows and open_cols):
+            break
+    root = list(range(m + n))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for arc in flows:
+        i, j = divmod(arc, n)
+        root[find(i)] = find(m + j)
+    missing = m + n - 1 - len(flows)
+    for arc in order:
+        if not missing:
+            break
+        i, j = divmod(arc, n)
+        ri, rj = find(i), find(m + j)
+        if ri != rj:
+            root[ri] = rj
+            flows[arc] = 0.0
+            missing -= 1
+    return flows
+
+
+def _numpy_staircase(supply, demand):
+    """The staircase as first written, on numpy scalars."""
+    m, n = len(supply), len(demand)
+    a, b = supply.astype(float).copy(), demand.astype(float).copy()
+    flows = {}
+    i = j = 0
+    while True:
+        f = min(a[i], b[j])
+        flows[i * n + j] = max(f, 0.0)
+        a[i] -= f
+        b[j] -= f
+        if i == m - 1 and j == n - 1:
+            return flows
+        if j == n - 1:
+            i += 1
+        elif i == m - 1:
+            j += 1
+        elif a[i] <= b[j]:
+            i += 1
+        else:
+            j += 1
+
+
+def _hex_items(flows):
+    return [(arc, float(f).hex()) for arc, f in flows.items()]
+
+
+def _tie_heavy_instances():
+    rng = np.random.default_rng(21)
+    yield "all_equal", np.full(7, 1 / 7), np.full(5, 1 / 5), np.ones((7, 5))
+    grid = TestDegenerate._grid(5, (0, 0))
+    w = np.full(25, 1 / 25)
+    yield "lattice", w, w, _distances(grid, TestDegenerate._grid(5, (1, 2)))
+    yield "lattice_weights", _weights(rng, 25, 1.0), _weights(rng, 25, 1.0), _distances(
+        grid, grid[::-1] + 0.5)
+    values = np.array([-0.0, 0.0, 0.25, 1.0, 1.0 + 2**-52, 3.0])
+    m, n = 30, 24
+    yield "duplicated", _weights(rng, m, 1.0), _weights(rng, n, 1.0), rng.choice(values, (m, n))
+    yield "row", np.array([1.0]), _weights(rng, 9, 1.0), rng.choice(values, (1, 9))
+    yield "column", _weights(rng, 9, 1.0), np.array([1.0]), rng.choice(values, (9, 1))
+    x, y = rng.uniform(0, 1, (40, 2)), rng.uniform(0, 1, (35, 2))
+    yield "random_2d", _weights(rng, 40, 1.0), _weights(rng, 35, 1.0), _distances(x, y)
+
+
+@pytest.mark.parametrize("name, supply, demand, cost", list(_tie_heavy_instances()))
+def test_greedy_order_matches_stable_sort(name, supply, demand, cost):
+    """The same arcs, flows and dict order as a stable argsort gives."""
+    want = _stable_greedy_start(supply, demand, cost)
+    assert _hex_items(_simplex._greedy_start(supply, demand, cost)) == _hex_items(want)
+
+
+def _staircase_instances():
+    rng = np.random.default_rng(22)
+    x, y = rng.uniform(0, 1, (14, 2)), rng.uniform(0, 1, (11, 2))
+    supply, demand = _weights(rng, 14, 1.0), _weights(rng, 11, 1.0)
+    yield "random_2d", supply, demand, _distances(x, y)
+    for imbalance in (5e-10, -5e-10):
+        shifted = supply.copy()
+        shifted[3] += imbalance
+        yield f"imbalance_{imbalance:g}", shifted, demand, _distances(x, y)
+    zeros_s, zeros_d = supply.copy(), demand.copy()
+    zeros_s[[0, 6]] = 0.0
+    zeros_d[[4, 10]] = 0.0
+    yield "zero_weights", zeros_s, zeros_d, _distances(x, y) - 2.0
+    yield "one_by_one", np.array([0.7]), np.array([0.7]), np.array([[0.3]])
+
+
+@pytest.mark.parametrize("name, supply, demand, cost", list(_staircase_instances()))
+def test_staircase_potentials_match_tree_pass(name, supply, demand, cost):
+    """Potentials priced along the staircase path are the bits a breadth-first
+    pass over its tree gives, and the flows those of the numpy-scalar form."""
+    m, n = cost.shape
+    flows, u, v = _simplex._northwest_corner(supply, demand, cost)
+    assert _hex_items(flows) == _hex_items(_numpy_staircase(supply, demand))
+    _, tree_u, tree_v, _ = _simplex._basis(m, n, flows, cost)
+    assert u.tobytes() == tree_u.tobytes()
+    assert v.tobytes() == tree_v.tobytes()
