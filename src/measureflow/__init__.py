@@ -1,9 +1,12 @@
 """measureflow: finite atomic measure dynamics with exact transport metrics.
 
 Evolves atomic measures under probability vector fields and mass sources by
-an explicit Euler lattice scheme, and computes the Wasserstein, generalized
-Wasserstein (flat) and fiber velocity-matching costs exactly via linear
-programming.
+an explicit Euler lattice scheme.  Computes the Wasserstein and generalized
+Wasserstein (flat) distances exactly, by a network simplex with an
+optimality certificate, and the fiber velocity-matching costs as HiGHS
+linear programs.  The fiber LPs relax "the base coupling is optimal" to a
+base cost within 1e-9 (1 + W*) of the optimum, so their values can sit up to
+about 5e-4 relative below the two-stage optimum.
 """
 
 from .errors import (

@@ -35,6 +35,20 @@ built, by the same expressions.  Pricing thus sees the same matrix, so the
 pivot sequence, the flows and the value are unchanged.  A final full
 rebuild checks that the basis is a spanning tree and recomputes every
 reduced cost for the optimality certificate.
+
+Warm start.  A caller solving a sequence of instances can pass a
+``WarmStart`` carrier, which keeps the last optimal basis: all m + n - 1
+arcs with their flows.  For a fixed tree and fixed supplies and demands the
+tree flows are unique, so that basis is primal-feasible for any instance
+with the same supply and demand, whatever its costs (the reoptimization
+view of Ahuja, Magnanti and Orlin, ch. 11).  Such a solve skips both starts
+and pivots from the kept basis, with the same pricing, Bland window, pivot
+limit and final certificate; when the costs moved a little, few pivots
+remain.  Any other instance takes the cold start.  Where the optimum is
+degenerate a warm solve may end at another optimal basis than a cold one,
+so flows and the value's last bits can differ.  The carrier belongs to the
+caller, not to the module, so a result depends on the call's arguments
+alone.
 """
 
 from __future__ import annotations
@@ -349,6 +363,31 @@ def _basis(m: int, n: int, flows: dict[int, float], cost: np.ndarray):
     return tree, u, v, cost - u[:, None] - v[None, :]
 
 
+class WarmStart:
+    """Caller-owned carrier of the last optimal basis, for the next solve.
+
+    It holds every arc of the basis with its flow, zero-flow arcs included,
+    and the supply and demand bytes the basis was built for.  A solve that
+    gets a carrier starts from that basis when its own supply and demand
+    have the same bytes, and stores its final basis back either way.  A
+    carrier holds no state beyond what its caller's solves put in it.
+    """
+
+    __slots__ = ("masses", "basis")
+
+    def __init__(self) -> None:
+        self.masses = (b"", b"")
+        self.basis: dict[int, float] = {}
+
+    def fits(self, supply: np.ndarray, demand: np.ndarray) -> bool:
+        """Whether the basis is for these supplies and demands (and shape)."""
+        return self.masses == (supply.tobytes(), demand.tobytes())
+
+    def keep(self, supply: np.ndarray, demand: np.ndarray, basis: dict[int, float]) -> None:
+        self.masses = (supply.tobytes(), demand.tobytes())
+        self.basis = basis
+
+
 def solve_transport(
     supply,
     demand,
@@ -356,6 +395,7 @@ def solve_transport(
     *,
     tol: float = 1e-12,
     max_iter: int | None = None,
+    warm: WarmStart | None = None,
 ):
     """Solve the balanced transportation LP exactly.
 
@@ -365,7 +405,10 @@ def solve_transport(
 
     The northwest-corner staircase is built and priced once.  If that pass
     finds it optimal (sorted, balanced 1D instances), it is the answer.
-    Otherwise the pivots start from the matrix-minimum basis instead.
+    Otherwise the pivots start from the matrix-minimum basis instead.  When
+    ``warm`` holds a basis for the same supply and demand bytes, the pivots
+    start from it and neither start is built; the final basis is stored in
+    ``warm`` either way.
     """
     supply = np.asarray(supply, dtype=float)
     demand = np.asarray(demand, dtype=float)
@@ -384,9 +427,15 @@ def solve_transport(
     if max_iter is None:
         max_iter = 2000 + 60 * (m + n)
 
-    flows, u, v = _northwest_corner(supply, demand, cost)
-    if (cost - u[:, None] - v[None, :]).min() < -price_tol:
-        flows = _greedy_start(supply, demand, cost)
+    if warm is not None and warm.fits(supply, demand):
+        flows = dict(warm.basis)
+        pivot = True
+    else:
+        flows, u, v = _northwest_corner(supply, demand, cost)
+        pivot = (cost - u[:, None] - v[None, :]).min() < -price_tol
+        if pivot:
+            flows = _greedy_start(supply, demand, cost)
+    if pivot:
         tree, u, v, reduced = _basis(m, n, flows, cost)
         _pivot(tree, flows, cost, u, v, reduced, price_tol, degen_tol, max_iter)
     else:
@@ -398,6 +447,8 @@ def solve_transport(
     worst = float(np.min(cost - u[:, None] - v[None, :]))
     if worst < -100 * price_tol:
         raise SimplexError(f"returned basis is not optimal (reduced cost {worst})")
+    if warm is not None:
+        warm.keep(supply, demand, flows)
 
     positive = {divmod(arc, n): f for arc, f in flows.items() if f > 0.0}
     value = math.fsum(cost[i, j] * f for (i, j), f in positive.items())

@@ -10,6 +10,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from ._simplex import WarmStart
 from .errors import SupportOverflow
 from .fields import PvfSpec, SourceSpec
 from .flat import generalized_wasserstein
@@ -174,11 +175,13 @@ def weak_residual(
 # -- convergence studies --------------------------------------------------------
 
 
-def _metric_fn(metric: str) -> Callable[[DiscreteMeasure, DiscreteMeasure], float]:
+def _metric_fn(
+    metric: str,
+) -> Callable[[DiscreteMeasure, DiscreteMeasure, WarmStart], float]:
     if metric == "w1":
-        return lambda a, b: wasserstein1(a, b)[0]
+        return lambda a, b, warm: wasserstein1(a, b, warm)[0]
     if metric == "gw":
-        return lambda a, b: generalized_wasserstein(a, b).distance
+        return lambda a, b, warm: generalized_wasserstein(a, b, warm).distance
     raise ValueError(f"unknown metric {metric!r} (use 'w1' or 'gw')")
 
 
@@ -240,16 +243,16 @@ def convergence_study(
     n_list: Sequence[int],
     T: float,
     metric: str = "gw",
-    threads: int = 1,
     adaptive_extent: bool = False,
 ) -> ConvergenceReport:
     """Distances between consecutive-level runs at shared step times, plus
     distances to the exact reference when the problem declares one, with a
     least-squares convergence rate.
 
-    Levels run one after another; ``threads`` is accepted and ignored (a
-    thread pool measured slower than serial runs under the GIL), so results
-    never depend on it."""
+    Levels run one after another.  Each level pair, and each level's
+    reference loop, passes one ``WarmStart`` through its time loop, so a
+    solve starts from the previous time's optimal basis when the supplies
+    and demands did not change."""
     levels = sorted(set(int(n) for n in n_list))
     if len(levels) < 3:
         raise ValueError("convergence_study needs at least 3 levels")
@@ -272,23 +275,26 @@ def convergence_study(
     for (nc, tc), (nf, tf) in zip(usable, usable[1:]):
         k_max = len(tc.states) - 1
         sup = 0.0
+        warm = WarmStart()
         for t in _shared_step_times(nc, nf, k_max):
             tt = float(t)
             if tt > tf.final_time + 1e-12:
                 continue
-            sup = max(sup, dist(tc.state_at(tt), tf.state_at(tt)))
+            sup = max(sup, dist(tc.state_at(tt), tf.state_at(tt), warm))
         pair_distances.append((nc, nf, sup))
 
     reference_sup = []
     reference_final = []
     if problem.reference is not None:
         for n, traj in usable:
+            warm = WarmStart()
             sup = max(
-                dist(state, problem.reference(t))
+                dist(state, problem.reference(t), warm)
                 for t, state in zip(traj.times, traj.states)
             )
             reference_sup.append((n, sup))
-            reference_final.append((n, dist(traj.final_state, problem.reference(traj.final_time))))
+            final = dist(traj.final_state, problem.reference(traj.final_time), warm)
+            reference_final.append((n, final))
 
     fit_points = reference_sup if reference_sup else [
         (nc, d) for nc, _, d in pair_distances
@@ -351,8 +357,9 @@ def semigroup_probe(
 ) -> SemigroupProbeReport:
     """Measure W^g(S_t mu, S_t nu) / W^g(mu, nu) on a shared grid.
 
-    ``implied_c`` is ln(ratio)/t; rows breaking the fitted exponential
-    envelope by more than 20 percent are flagged."""
+    Each pair passes one ``WarmStart`` through its solves.  ``implied_c``
+    is ln(ratio)/t; rows breaking the fitted exponential envelope by more
+    than 20 percent are flagged."""
     T = max(t_list)
     dim = pairs[0][0].dim
     grid = LatticeGrid(N=N, dim=dim, adaptive_extent=adaptive_extent)
@@ -365,10 +372,11 @@ def semigroup_probe(
 
     raw = []
     for index, (mu, nu) in enumerate(pairs):
-        d0 = generalized_wasserstein(mu, nu).distance
+        warm = WarmStart()
+        d0 = generalized_wasserstein(mu, nu, warm).distance
         tmu, tnu = run(mu), run(nu)
         for t in t_list:
-            dt_val = generalized_wasserstein(tmu.state_at(t), tnu.state_at(t)).distance
+            dt_val = generalized_wasserstein(tmu.state_at(t), tnu.state_at(t), warm).distance
             if d0 < 1e-15:
                 ratio = 1.0 if dt_val < 1e-15 else math.inf
             else:

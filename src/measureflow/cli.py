@@ -333,7 +333,6 @@ def cmd_convergence(args) -> int:
         levels,
         t_final,
         metric=metric,
-        threads=args.threads,
         adaptive_extent=bool(config.get("adaptive_extent", False)),
     )
     payload = report.to_dict()

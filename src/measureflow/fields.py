@@ -261,6 +261,13 @@ class SourceSpec:
     def proportional(
         cls, rate: float, support_radius: float, carrier: Ball | None = None
     ) -> "SourceSpec":
+        """s[mu] = rate * mu restricted to B(0, R) and to the carrier ball.
+
+        The declared ``lipschitz_constant = rate`` holds only for measures
+        inside the open balls.  The cutoff at their boundaries is hard: two
+        unit Diracs a distance g apart on either side of |x| = R give
+        W^g(s[mu], s[nu]) = rate against W^g(mu, nu) = g.
+        """
         if rate < 0:
             raise ValueError("proportional source rate must be nonnegative (pure creation)")
         return cls(

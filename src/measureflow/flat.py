@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._simplex import solve_transport
+from ._simplex import WarmStart, solve_transport
 from .errors import DimensionMismatch, LipschitzViolation
 from .measures import WEIGHT_FLOOR, DiscreteMeasure, SignedDecomposition
 from .wasserstein import TransportPlan, wasserstein1
@@ -84,8 +84,13 @@ def _solution_from_entries(m1, m2, entries):
     )
 
 
-def generalized_wasserstein(m1: DiscreteMeasure, m2: DiscreteMeasure) -> GwSolution:
-    """Exact optimum of the flat-metric LP with attainment witnesses."""
+def generalized_wasserstein(
+    m1: DiscreteMeasure, m2: DiscreteMeasure, warm: WarmStart | None = None
+) -> GwSolution:
+    """Exact optimum of the flat-metric LP with attainment witnesses.
+
+    ``warm`` is passed to the transport solve, on the W1 fast path too (see
+    ``_simplex.WarmStart``)."""
     if m1.dim != m2.dim:
         raise DimensionMismatch(f"dim {m1.dim} vs {m2.dim}")
     empty_plan = TransportPlan(entries=(), cost=0.0)
@@ -108,7 +113,7 @@ def generalized_wasserstein(m1: DiscreteMeasure, m2: DiscreteMeasure) -> GwSolut
         and float(dist.max()) < _FULL_TRANSPORT_DIAMETER
     ):
         # removal can never beat transport here: route through balanced W1
-        _, plan = wasserstein1(m1, m2)
+        _, plan = wasserstein1(m1, m2, warm)
         return _solution_from_entries(m1, m2, list(plan.entries))
 
     n1, n2 = len(m1.atoms), len(m2.atoms)
@@ -116,7 +121,7 @@ def generalized_wasserstein(m1: DiscreteMeasure, m2: DiscreteMeasure) -> GwSolut
     demands = np.concatenate([m2.weights_array(), [mass1]])
     cost = np.zeros((n1 + 1, n2 + 1))
     cost[:n1, :n2] = dist - 2.0
-    _, flows = solve_transport(supplies, demands, cost)
+    _, flows = solve_transport(supplies, demands, cost, warm=warm)
     entries = [
         (i, j, f) for (i, j), f in sorted(flows.items()) if i < n1 and j < n2
     ]

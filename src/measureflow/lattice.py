@@ -152,12 +152,21 @@ class LatticeGrid:
         return tuple(round(k / self.N, 12) for k in idx)
 
     def is_aligned(self, mu: DiscreteMeasure) -> bool:
+        """Whether every atom sits on its space cell's anchor inside the extent.
+
+        The stepper's snap (``_space_cells``) and anchors (``_Anchors``) on
+        the position array; a non-finite coordinate is never aligned, nor is
+        one whose cell index is not an exact float (|x| N^2 >= 2^53).
+        """
+        positions = mu.positions_array()
+        n2 = self.N * self.N
+        if not (np.abs(positions) * n2 < 2.0**53).all():
+            return False
         try:
-            return all(
-                self.space_anchor(self.space_index(pos)) == pos for pos, _ in mu.atoms
-            )
+            cells = _space_cells(self, positions)
         except SupportOverflow:
             return False
+        return bool((_Anchors(n2).positions(cells) == positions).all())
 
 
 # -- quantization operators ----------------------------------------------------

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._simplex import solve_transport
+from ._simplex import WarmStart, solve_transport
 from .errors import DimensionMismatch, LipschitzViolation, MassMismatch
 from .measures import DiscreteMeasure
 
@@ -81,13 +81,14 @@ def _cancel_common_atoms(m1: DiscreteMeasure, m2: DiscreteMeasure):
 
 
 def wasserstein1(
-    m1: DiscreteMeasure, m2: DiscreteMeasure
+    m1: DiscreteMeasure, m2: DiscreteMeasure, warm: WarmStart | None = None
 ) -> tuple[float, TransportPlan]:
     """Optimal total transport cost min sum pi_ij |x_i - y_j| and a plan.
 
     Unnormalized convention: the value scales linearly with mass.  Raises
     MassMismatch when masses differ beyond tolerance (no silent
-    renormalization).
+    renormalization).  ``warm`` is passed to the transport solve (see
+    ``_simplex.WarmStart``).
     """
     if m1.dim != m2.dim:
         raise DimensionMismatch(f"dim {m1.dim} vs {m2.dim}")
@@ -106,7 +107,7 @@ def wasserstein1(
         y = np.array([pos for _, pos, _ in residual2])
         diff = x[:, None, :] - y[None, :, :]
         cost = np.sqrt(np.sum(diff * diff, axis=2))
-        _, flows = solve_transport(supplies, demands, cost)
+        _, flows = solve_transport(supplies, demands, cost, warm=warm)
         for (a, b), f in sorted(flows.items()):
             entries.append((residual1[a][0], residual2[b][0], f))
     pos1 = {i: pos for i, (pos, _) in enumerate(m1.atoms)}

@@ -12,10 +12,13 @@ from measureflow.analysis import (
     semigroup_probe,
     weak_residual,
 )
+from measureflow._simplex import WarmStart
 from measureflow.fields import PvfSpec
+from measureflow.flat import generalized_wasserstein
 from measureflow.lattice import LatticeGrid, run_semigroup
 from measureflow.measures import DiscreteMeasure
-from measureflow.problems import builtin_problem
+from measureflow.problems import ProblemSpec, builtin_problem
+from measureflow.wasserstein import wasserstein1
 
 d = DiscreteMeasure.dirac
 
@@ -145,11 +148,45 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             convergence_study(builtin_problem("translate"), [4, 8], 1.0)
 
-    def test_thread_count_does_not_change_results(self):
+    def test_repeated_calls_give_equal_reports(self):
+        # each call makes its own warm-start carriers: nothing carries over
         problem = builtin_problem("diffusion1d")
-        a = convergence_study(problem, [4, 8, 16], 1.0, threads=1)
-        b = convergence_study(problem, [4, 8, 16], 1.0, threads=4)
+        a = convergence_study(problem, [4, 8, 16], 1.0)
+        b = convergence_study(problem, [4, 8, 16], 1.0)
         assert a == b
+
+    @pytest.mark.parametrize("metric", ["gw", "w1"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_pair_distances_equal_a_cold_loop(self, monkeypatch, seed, metric):
+        rng = np.random.default_rng(seed)
+        n = 15
+        points = np.round(rng.uniform(-1.0, 1.0, (n, 2)), 9).tolist()
+        problem = ProblemSpec(
+            name="drift2d",
+            initial=DiscreteMeasure.from_atoms([(p, 1.0 / n) for p in points]),
+            pvf=PvfSpec.deterministic(lambda x: x, growth_constant=1.0),
+            src=None,
+        )
+        levels = (4, 8, 16)
+        warm_hits = []
+        fits = WarmStart.fits
+        monkeypatch.setattr(WarmStart, "fits",
+                            lambda self, a, b: warm_hits.append(fits(self, a, b)) or warm_hits[-1])
+        report = convergence_study(problem, levels, 1.0, metric=metric, adaptive_extent=True)
+        assert any(warm_hits)  # some solves started from the previous basis
+
+        def distance(a, b):
+            if metric == "w1":
+                return wasserstein1(a, b)[0]
+            return generalized_wasserstein(a, b).distance
+
+        runs = [run_semigroup(LatticeGrid(N=level, dim=2, adaptive_extent=True),
+                              problem.initial, problem.pvf, None, 1.0) for level in levels]
+        for (nc, nf, sup), coarse, fine in zip(report.pair_distances, runs, runs[1:]):
+            cold = max(distance(coarse.state_at(k / nc), fine.state_at(k / nc))
+                       for k in range(nc + 1))
+            assert (nc, nf) == (coarse.grid.N, fine.grid.N)
+            assert sup == pytest.approx(cold, rel=1e-12, abs=1e-15)
 
     def test_csv_rows_shape(self):
         report = convergence_study(builtin_problem("translate"), [4, 8, 16], 1.0)

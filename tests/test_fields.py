@@ -188,6 +188,19 @@ class TestProbes:
         estimate = probe_s1_lipschitz(src, pairs)
         assert estimate <= rate + 1e-9
 
+    def test_proportional_constant_holds_only_inside_the_ball(self, rng):
+        # lipschitz_constant = rate holds for measures inside B(0, R) ...
+        src = SourceSpec.proportional(1.0, support_radius=1.0)
+        assert src.lipschitz_constant == 1.0
+        pairs = [(random_measure(rng, 3, span=0.5), random_measure(rng, 3, span=0.5))
+                 for _ in range(10)]
+        assert probe_s1_lipschitz(src, pairs) <= 1.0 + 1e-9
+        # ... but not across its boundary: the hard cutoff keeps all of one
+        # Dirac and none of the other, at any distance between them
+        for gap in (2e-3, 2e-4, 2e-5):
+            pair = (d([1.0 - gap / 2]), d([1.0 + gap / 2]))
+            assert probe_s1_lipschitz(src, [pair]) == pytest.approx(1.0 / gap, rel=1e-6)
+
     def test_v2_deterministic_identity_flow(self):
         pvf = PvfSpec.deterministic(lambda x: x, growth_constant=1.0)
         pairs = [(d([0.3]), d([0.8])), (d([-0.5]), d([0.25]))]

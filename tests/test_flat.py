@@ -240,7 +240,7 @@ def _kept_part_pairs():
 def test_kept_parts_equal_from_atoms(monkeypatch):
     fast_path = []
     monkeypatch.setattr("measureflow.flat.wasserstein1",
-                        lambda m1, m2: fast_path.append(1) or wasserstein1(m1, m2))
+                        lambda *args: fast_path.append(1) or wasserstein1(*args))
     below_floor = 0
     for m1, m2 in _kept_part_pairs():
         sol = generalized_wasserstein(m1, m2)

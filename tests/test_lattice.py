@@ -30,6 +30,14 @@ def constant_pvf(speed=1.0):
     )
 
 
+def _is_aligned_scalar(grid: LatticeGrid, mu: DiscreteMeasure) -> bool:
+    """Oracle: the per-atom form of ``LatticeGrid.is_aligned``."""
+    try:
+        return all(grid.space_anchor(grid.space_index(pos)) == pos for pos, _ in mu.atoms)
+    except SupportOverflow:
+        return False
+
+
 class TestGrid:
     def test_step_relations_exact_rationally(self):
         for n in (1, 2, 3, 7, 10, 64):
@@ -50,6 +58,35 @@ class TestGrid:
         for k in range(-20, 21):
             anchor = g.space_anchor((k,))
             assert g.space_index(anchor) == (k,)
+
+    def test_is_aligned_matches_scalar_form(self):
+        rng = np.random.default_rng(3000)
+        answers = []
+        for k in range(3000):
+            n, dim = int(rng.integers(1, 40)), int(rng.integers(1, 4))
+            extent = None if k % 2 else float(rng.uniform(0.5, 2.0)) * n
+            grid = LatticeGrid(N=n, dim=dim, extent_radius=extent)
+            # cells up to a few past the extent on either side
+            reach = int(grid.space_extent * n * n) + 3
+            cells = rng.integers(-reach, reach + 1, size=(int(rng.integers(1, 6)), dim))
+            points = [list(grid.space_anchor(tuple(c))) for c in cells.tolist()]
+            if k % 3 == 1:  # one coordinate off its anchor, by 1e-13 up to 1e-2
+                a, c = int(rng.integers(len(points))), int(rng.integers(dim))
+                points[a][c] += float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-13, -2))
+            mu = DiscreteMeasure.from_atoms([(p, 1.0) for p in points], dim=dim)
+            want = _is_aligned_scalar(grid, mu)
+            assert grid.is_aligned(mu) is want
+            answers.append(want)
+        assert 500 < sum(answers) < 2500
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_is_aligned_false_on_non_finite(self, bad):
+        # the scalar form raised ValueError (nan) or OverflowError (inf) here
+        mu = DiscreteMeasure.from_atoms([((0.25, bad), 1.0), ((0.0, 0.0), 1.0)])
+        assert LatticeGrid(N=4, dim=2).is_aligned(mu) is False
+
+    def test_is_aligned_empty(self):
+        assert LatticeGrid(N=4, dim=2).is_aligned(DiscreteMeasure.empty(2))
 
     def test_velocity_snap_example(self):
         g = LatticeGrid(N=2, dim=1)

@@ -586,3 +586,82 @@ def test_staircase_potentials_match_tree_pass(name, supply, demand, cost):
     _, tree_u, tree_v, _ = _simplex._basis(m, n, flows, cost)
     assert u.tobytes() == tree_u.tobytes()
     assert v.tobytes() == tree_v.tobytes()
+
+
+# -- warm start ----------------------------------------------------------------
+
+
+def _drifting_instances(rng, kind: str, n: int, steps: int = 6):
+    """One supply and demand, and the costs of ``steps`` small moves of the
+    atoms: the W1 shape, or the W^g dummy shape (spread so that some mass is
+    removed)."""
+    dim = 1 if kind.endswith("1d") else 2
+    m = n + int(rng.integers(-3, 4))
+    x, y = rng.uniform(0, 1, (m, dim)), rng.uniform(0, 1, (n, dim))
+    wx = _weights(rng, m, 1.0)
+    wy = _weights(rng, n, 1.0 if kind.startswith("w1") else 1.3)
+    for _ in range(steps):
+        x = x + rng.normal(0, 0.01, x.shape)
+        y = y + rng.normal(0, 0.01, y.shape)
+        if kind.startswith("w1"):
+            yield wx, wy, _distances(x, y)
+        else:
+            yield _gw_instance(2 * x, wx, 2 * y, wy)
+
+
+@pytest.mark.parametrize("n", [10, 40, 80])
+@pytest.mark.parametrize("kind", ["w1_1d", "w1_2d", "gw_1d", "gw_2d"])
+def test_warm_start_matches_cold(monkeypatch, kind, n):
+    rng = np.random.default_rng([n, len(kind), kind.endswith("2d")])
+    instances = list(_drifting_instances(rng, kind, n))
+    cold = [solve_transport(*instance) for instance in instances]
+
+    starts = []
+    staircase = _simplex._northwest_corner
+    monkeypatch.setattr(_simplex, "_northwest_corner",
+                        lambda *a: starts.append(1) or staircase(*a))
+    warm = _simplex.WarmStart()
+    for (supply, demand, cost), (want, _) in zip(instances, cold):
+        value, flows = solve_transport(supply, demand, cost, warm=warm)
+        assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
+        _check_solution(supply, demand, cost, value, flows, lp=lambda *a: want)
+        assert len(warm.basis) == len(supply) + len(demand) - 1
+        assert warm.fits(supply, demand)
+    assert starts == [1]  # only the first solve, on an empty carrier, starts cold
+
+
+def _hex_result(result):
+    value, flows = result
+    return value.hex(), [(arc, f.hex()) for arc, f in flows.items()]
+
+
+@pytest.mark.parametrize("change", ["shape", "supply", "demand"])
+def test_unfit_carrier_gives_the_cold_bits(change):
+    rng = np.random.default_rng(61)
+    x, y = rng.uniform(0, 1, (30, 2)), rng.uniform(0, 1, (25, 2))
+    supply, demand = _weights(rng, 30, 1.0), _weights(rng, 25, 1.0)
+    warm = _simplex.WarmStart()
+    solve_transport(supply, demand, _distances(x, y), warm=warm)
+    if change == "shape":
+        x = np.vstack([x, rng.uniform(0, 1, (1, 2))])
+        supply = _weights(rng, 31, 1.0)
+    elif change == "supply":
+        supply = supply[[1, 0, *range(2, 30)]]
+    else:
+        demand = demand[::-1].copy()
+    cost = _distances(x + 0.01, y)
+    assert not warm.fits(supply, demand)
+    want = solve_transport(supply, demand, cost)
+    assert _hex_result(solve_transport(supply, demand, cost, warm=warm)) == _hex_result(want)
+    assert warm.fits(supply, demand)  # the new basis was kept
+
+
+def test_staircase_optimal_solve_fills_the_carrier(monkeypatch):
+    pivots = _count_pivots(monkeypatch)
+    x = np.linspace(0, 1, 12)[:, None]
+    supply = demand = np.full(12, 1 / 12)
+    warm = _simplex.WarmStart()
+    solve_transport(supply, demand, _distances(x, x + 0.05), warm=warm)
+    assert pivots == []
+    assert warm.fits(supply, demand)
+    assert warm.basis == _simplex._northwest_corner(supply, demand, _distances(x, x))[0]
