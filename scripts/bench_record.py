@@ -10,6 +10,12 @@ side's median, quartiles and per-seed values, and how many seed pairs the
 change won (better in the direction ``BENCHMARK.json`` gives; ties count for
 neither side).  It also keeps the environment and the failed-op counts.
 Without ``--parent`` (a baseline) the one side is written as ``runs``.
+
+With a parent, each end-to-end metric gets a verdict, which is also printed:
+``claim_met`` when the change is better in at least 9 of 10 pairs and its
+median beats the parent's by more than the parent's q3 - q1, and
+``no_regression`` when the change's median is within the metric's relative
+``bound`` in ``BENCHMARK.json`` of the parent's.
 """
 
 from __future__ import annotations
@@ -22,9 +28,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _directions() -> dict[str, str]:
+def _metrics() -> dict[str, dict]:
+    """BENCHMARK.json's metric entries by name (``better``, and ``bound`` for
+    the end-to-end ones)."""
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+    return {m["name"]: m for m in bench["end_to_end"] + bench["per_layer"]}
 
 
 def _load(runs: Path) -> dict[tuple, dict]:
@@ -64,16 +72,71 @@ def _side(records: dict[tuple, dict], group: tuple) -> dict:
     }
 
 
-def _wins(parent: dict, change: dict, better: dict[str, str]) -> dict:
+def _sign(metric: dict) -> int:
+    """+1 where lower is better, -1 where higher is."""
+    return 1 if metric.get("better", "lower") == "lower" else -1
+
+
+def _wins(parent: dict, change: dict, metrics: dict[str, dict]) -> dict:
     wins = {}
     for name, metric in change["metrics"].items():
         old = parent["metrics"].get(name, {}).get("by_seed", {})
         pairs = [(old[seed], new) for seed, new in metric["by_seed"].items() if seed in old]
-        sign = 1 if better.get(name, "lower") == "lower" else -1
+        sign = _sign(metrics.get(name, {}))
         wins[name] = {"pairs": len(pairs),
                       "change_better": sum(sign * (new - was) < 0 for was, new in pairs),
                       "parent_better": sum(sign * (new - was) > 0 for was, new in pairs)}
     return wins
+
+
+def _verdict(parent: dict, change: dict, wins: dict, metric: dict) -> dict:
+    """The claim rule and the no-regression rule on one end-to-end metric."""
+    sign = _sign(metric)
+    gain = sign * (parent["median"] - change["median"])
+    parent_iqr = parent["q3"] - parent["q1"]
+    limit = parent["median"] * (1 + sign * metric["bound"])
+    return {
+        "claim_met": bool(wins["pairs"]) and 10 * wins["change_better"] >= 9 * wins["pairs"]
+        and gain > parent_iqr,
+        "no_regression": sign * (change["median"] - limit) <= 0,
+        "gain": gain, "parent_iqr": parent_iqr, "limit": limit,
+    }
+
+
+def record(runs: Path, parent_runs: Path | None) -> dict:
+    """The workloads entry of a ``BENCH_<label>.json`` for these run records."""
+    change = _load(runs)
+    parent = _load(parent_runs) if parent_runs else {}
+    metrics = _metrics()
+    workloads = {}
+    for group in sorted({key[:2] for key in change}):
+        entry = {"change" if parent else "runs": _side(change, group)}
+        if any(key[:2] == group for key in parent):
+            entry["parent"] = old = _side(parent, group)
+            entry["wins"] = wins = _wins(old, entry["change"], metrics)
+            entry["verdict"] = {
+                name: _verdict(old["metrics"][name], new, wins[name], metrics[name])
+                for name, new in entry["change"]["metrics"].items()
+                if "bound" in metrics.get(name, {}) and name in old["metrics"]
+            }
+        workloads[f"{group[0]}/trace{group[1]}"] = entry
+    return workloads
+
+
+def verdict_lines(workloads: dict) -> list[str]:
+    lines = []
+    for key, entry in workloads.items():
+        for name, verdict in entry.get("verdict", {}).items():
+            wins = entry["wins"][name]
+            lines.append(
+                f"{key} {name}: claim {'met' if verdict['claim_met'] else 'not met'} "
+                f"({wins['change_better']}/{wins['pairs']} pairs better, median gain "
+                f"{verdict['gain']:.6g} vs parent IQR {verdict['parent_iqr']:.6g}); "
+                f"{'no regression' if verdict['no_regression'] else 'REGRESSION'} "
+                f"(change median {entry['change']['metrics'][name]['median']:.6g}, "
+                f"limit {verdict['limit']:.6g})"
+            )
+    return lines
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -83,19 +146,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", type=Path, help="the parent checkout's perfbench/_runs")
     args = parser.parse_args(argv)
 
-    change = _load(args.runs)
-    parent = _load(args.parent) if args.parent else {}
-    better = _directions()
-    workloads = {}
-    for group in sorted({key[:2] for key in change}):
-        entry = {"change" if parent else "runs": _side(change, group)}
-        if any(key[:2] == group for key in parent):
-            entry["parent"] = _side(parent, group)
-            entry["wins"] = _wins(entry["parent"], entry["change"], better)
-        workloads[f"{group[0]}/trace{group[1]}"] = entry
+    workloads = record(args.runs, args.parent)
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps({"label": args.label, "workloads": workloads}, indent=1) + "\n")
     print(f"wrote {out.relative_to(ROOT)}: {', '.join(workloads)}")
+    for line in verdict_lines(workloads):
+        print(line)
     return 0
 
 

@@ -50,18 +50,13 @@ def _transition_deriv(s: float) -> float:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A compactly supported smooth function with its gradient and norm data.
-
-    ``sup_norm`` and ``grad_norm`` are numerical estimates over the stated
-    ball; ``radius`` is the support radius.
-    """
+    """A compactly supported smooth function with its gradient; ``radius``
+    is the support radius."""
 
     __test__ = False  # not a pytest class
 
     fn: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
-    sup_norm: float
-    grad_norm: float
     radius: float
 
     def __call__(self, x) -> float:
@@ -88,7 +83,7 @@ class TestFunction:
     def plateau(cls, inner: float, outer: float, dim: int) -> "TestFunction":
         """Smooth window: 1 on |x| <= inner, 0 outside |x| >= outer."""
         return cls.windowed_polynomial(
-            lambda x: 1.0, lambda x: np.zeros(dim), inner, outer, dim
+            lambda x: 1.0, lambda x: np.zeros(dim), inner, outer
         )
 
     @classmethod
@@ -98,7 +93,6 @@ class TestFunction:
         poly_grad: Callable[[np.ndarray], np.ndarray],
         inner: float,
         outer: float,
-        dim: int,
     ) -> "TestFunction":
         """poly(x) times a smooth plateau window (1 inside, 0 outside)."""
         if not 0 < inner < outer:
@@ -132,12 +126,7 @@ class TestFunction:
                 g = g + float(poly(x)) * window_deriv(r) * x / r
             return g
 
-        # norm estimates on a radial/random sample of the support ball
-        rng = np.random.default_rng(0)
-        samples = rng.uniform(-outer, outer, size=(512, dim))
-        sup = max(abs(fn(s)) for s in samples)
-        gn = max(float(np.linalg.norm(grad(s))) for s in samples)
-        return cls(fn=fn, grad=grad, sup_norm=sup, grad_norm=gn, radius=outer)
+        return cls(fn=fn, grad=grad, radius=outer)
 
 
 # -- weak-form residual --------------------------------------------------------

@@ -81,6 +81,17 @@ def _load_measure(path: str | Path) -> DiscreteMeasure:
         raise ConfigError(f"{path}: bad measure schema ({err})") from None
 
 
+def _config_measure(spec, config_dir: Path) -> DiscreteMeasure:
+    """A measure given in a config inline (a dict) or by a path relative to
+    the config's directory."""
+    if isinstance(spec, str):
+        return _load_measure(config_dir / spec)
+    try:
+        return DiscreteMeasure.from_dict(spec)
+    except (KeyError, TypeError, IndexError, ValueError) as err:
+        raise ConfigError(f"bad inline measure schema ({err})") from None
+
+
 def _load_lifted(path: str | Path) -> LiftedMeasure:
     data = _load_json(path)
     try:
@@ -140,12 +151,9 @@ def _build_source(
     kind = spec.get("kind")
     if kind == "constant":
         measure = spec.get("measure")
-        if isinstance(measure, str):
-            sigma = _load_measure(config_dir / measure)
-        elif isinstance(measure, dict):
-            sigma = DiscreteMeasure.from_dict(measure)
-        else:
+        if not isinstance(measure, (str, dict)):
             raise ConfigError("constant source needs a measure (inline or path)")
+        sigma = _config_measure(measure, config_dir)
         radius = spec.get("R")
         return SourceSpec.constant(sigma, None if radius is None else float(radius))
     if kind == "proportional":
@@ -180,13 +188,7 @@ def _build_problem(config: dict, config_dir: Path) -> ProblemSpec:
             )
 
     if "initial_measure" in config:
-        spec = config["initial_measure"]
-        mu0 = (
-            _load_measure(config_dir / spec)
-            if isinstance(spec, str)
-            else DiscreteMeasure.from_dict(spec)
-        )
-        problem = problem.with_initial(mu0)
+        problem = problem.with_initial(_config_measure(config["initial_measure"], config_dir))
     if "pvf" in config:
         problem = replace(
             problem, pvf=_build_pvf(config["pvf"], constants), reference=None

@@ -23,10 +23,15 @@ Same floats as a stepper over per-atom Fractions.  A weight is emitted as
 whatever factors the shared denominator carries.  Diffusion quadrature
 abscissae are integers over 2 q den and convert the same way.  The array
 snap (``_snap``) and profile (``PiecewiseLinear.evaluate``) do the same
-float operations in the same order as their per-point forms.  Below the
-level bound (``_check_level``) the anchors round(k / N^2, 12) re-snap to k
-and increase with k, so sorted cells give sorted positions and each state
-is emitted once, as an already-canonical DiscreteMeasure.
+float operations in the same order as their per-point forms.  The anchors
+round(k / N^2, 12) are computed on whole cell arrays (``_anchors``): the
+integer R that ``rint`` gives for t = (k / N^2) 1e12 is the one Python's
+correctly rounded ``round`` picks unless t lies within one rounding error
+of a half-integer, and R / 1e12 is correctly rounded for |R| < 2^53; those
+near-ties (every |t| >= 2^51 among them) take the scalar ``round``.  Below
+the level bound (``_check_level``) the anchors re-snap to k and increase
+with k, so sorted cells give sorted positions and each state is emitted
+once, as an already-canonical DiscreteMeasure.
 
 Sub-floor atoms.  An exact atom lighter than ``WEIGHT_FLOOR`` stays in the
 state and keeps moving (its velocity is evaluated, it feeds the diffusion
@@ -51,6 +56,7 @@ from .measures import (
     DiscreteMeasure,
     LiftedMeasure,
     _quantize,
+    _support_radius,
 )
 
 IndexVec = tuple[int, ...]
@@ -154,7 +160,7 @@ class LatticeGrid:
     def is_aligned(self, mu: DiscreteMeasure) -> bool:
         """Whether every atom sits on its space cell's anchor inside the extent.
 
-        The stepper's snap (``_space_cells``) and anchors (``_Anchors``) on
+        The stepper's snap (``_space_cells``) and anchors (``_anchors``) on
         the position array; a non-finite coordinate is never aligned, nor is
         one whose cell index is not an exact float (|x| N^2 >= 2^53).
         """
@@ -166,7 +172,7 @@ class LatticeGrid:
             cells = _space_cells(self, positions)
         except SupportOverflow:
             return False
-        return bool((_Anchors(n2).positions(cells) == positions).all())
+        return bool((_anchors(cells, n2) == positions).all())
 
 
 # -- quantization operators ----------------------------------------------------
@@ -207,21 +213,25 @@ class _State(NamedTuple):
     den: int
 
 
-class _Anchors(dict):
-    """Cell index k -> anchor coordinate round(k / cells_per_unit, 12), with
-    -0.0 normalized as measure construction does; filled on first use."""
+_DECIMAL_SCALE = 10.0**POSITION_DECIMALS
 
-    def __init__(self, cells_per_unit: int):
-        super().__init__()
-        self.cells_per_unit = cells_per_unit
 
-    def __missing__(self, k: int) -> float:
-        value = self[k] = _quantize(k / self.cells_per_unit, POSITION_DECIMALS)
-        return value
-
-    def positions(self, cells: np.ndarray) -> np.ndarray:
-        flat = map(self.__getitem__, cells.ravel().tolist())
-        return np.fromiter(flat, dtype=float, count=cells.size).reshape(cells.shape)
+def _anchors(cells: np.ndarray, cells_per_unit: int) -> np.ndarray:
+    """Anchor coordinates _quantize(k / cells_per_unit, 12) of the cell
+    indices k in ``cells`` (|k| <= 2^53, so k / cells_per_unit is the
+    correctly rounded quotient), with -0.0 normalized."""
+    t = (cells / cells_per_unit) * _DECIMAL_SCALE
+    anchors = np.rint(t) / _DECIMAL_SCALE + 0.0
+    a = np.abs(t)
+    # rint may round the other way from the exact product only this close
+    # to a half-integer; from 2^51 on the spacing is at least 1/2, so every
+    # such t is near and R / 1e12 stays below 2^53
+    near = np.abs(a - np.floor(a) - 0.5) <= np.spacing(a)
+    if near.any():
+        anchors[near] = [
+            _quantize(k / cells_per_unit, POSITION_DECIMALS) for k in cells[near].tolist()
+        ]
+    return anchors
 
 
 def _check_level(grid: LatticeGrid, reach: float) -> None:
@@ -297,26 +307,26 @@ def _ingest(grid: LatticeGrid, mu: DiscreteMeasure) -> _State:
 
 
 def _emit(
-    grid: LatticeGrid, state: _State, anchors: _Anchors, step: int
-) -> tuple[np.ndarray, DiscreteMeasure]:
-    """Anchor positions of all cells, and the canonical measure of the atoms
-    at or above WEIGHT_FLOOR.  After a step (``step`` > 0) every anchor must
-    lie in the space extent."""
-    positions = anchors.positions(state.cells)
+    grid: LatticeGrid, state: _State, step: int
+) -> tuple[np.ndarray, DiscreteMeasure, float]:
+    """Anchor positions of all cells, the canonical measure of the atoms at
+    or above WEIGHT_FLOOR, and its support radius.  After a step (``step``
+    > 0) every anchor must lie in the space extent."""
+    n2 = grid.N * grid.N
+    positions = _anchors(state.cells, n2)
     anchor = _outside(positions, grid.space_extent) if step > 0 else None
     if anchor is not None:
         raise SupportOverflow(f"atom at {anchor} left the space extent", step_index=step)
-    weights = (state.nums / state.den).tolist()
-    kept = np.array(weights) >= WEIGHT_FLOOR
+    weights = np.array((state.nums / state.den).tolist())
+    kept = weights >= WEIGHT_FLOOR
     recorded = positions[kept]
-    off = (_snap(recorded, anchors.cells_per_unit) != state.cells[kept]).any(axis=1)
+    off = (_snap(recorded, n2) != state.cells[kept]).any(axis=1)
     if off.any():
         atom = tuple(recorded[np.argmax(off)].tolist())
         raise AssertionError(f"state left the lattice at step {step}: atom {atom}")
-    atoms = tuple(
-        (tuple(pos), w) for pos, w in zip(positions.tolist(), weights) if w >= WEIGHT_FLOOR
-    )
-    return positions, DiscreteMeasure(atoms=atoms, dim=grid.dim)
+    atoms = tuple(zip(map(tuple, recorded.tolist()), weights[kept].tolist()))
+    snapshot = DiscreteMeasure(atoms=atoms, dim=grid.dim)
+    return positions, snapshot, _support_radius(recorded)
 
 
 def _lift(
@@ -407,8 +417,8 @@ def _step(
 
 def _start(grid: LatticeGrid, mu: DiscreteMeasure, pvf: PvfSpec | None,
            src: SourceSpec | None, caller: str):
-    """Checks on the grid-aligned ``mu``, then its anchors, exact state,
-    anchor positions and emitted measure."""
+    """Checks on the grid-aligned ``mu``, then its exact state, anchor
+    positions and emitted measure."""
     if mu.dim != grid.dim:
         raise ValueError(f"measure dim {mu.dim} != grid dim {grid.dim}")
     _check_level(grid, predicted_reach(mu, pvf, src, grid.dt))
@@ -416,9 +426,8 @@ def _start(grid: LatticeGrid, mu: DiscreteMeasure, pvf: PvfSpec | None,
         raise ValueError(
             f"{caller} requires a grid-aligned measure; apply ax_discretize first"
         )
-    anchors = _Anchors(grid.N * grid.N)
     state = _ingest(grid, mu)
-    return (anchors, state, *_emit(grid, state, anchors, 0))
+    return (state, *_emit(grid, state, 0)[:2])
 
 
 def las_step(
@@ -433,9 +442,9 @@ def las_step(
     step).  With ``pvf=None`` this reduces to the pure source scheme; with
     ``src=None`` to pure transport.
     """
-    anchors, state, positions, snapshot = _start(grid, mu, pvf, src, "las_step")
+    state, positions, snapshot = _start(grid, mu, pvf, src, "las_step")
     new = _step(grid, state, positions, snapshot, pvf, src)
-    return _emit(grid, new, anchors, 1)[1]
+    return _emit(grid, new, 1)[1]
 
 
 def interpolate(
@@ -453,16 +462,17 @@ def interpolate(
     """
     if tau < -1e-12 or tau > grid.dt + 1e-12:
         raise ValueError(f"tau={tau} outside [0, {grid.dt}]")
-    space, state, positions, snapshot = _start(grid, mu, pvf, src, "interpolate")
+    state, positions, snapshot = _start(grid, mu, pvf, src, "interpolate")
+    n2 = grid.N * grid.N
     if pvf is None:
         parts = [(positions, state.nums, state.den)]
     else:
         cells, vel_cells, nums, den = _lift(grid, state, positions, snapshot, pvf)
-        velocities = _Anchors(grid.N).positions(vel_cells)
-        parts = [(space.positions(cells) + tau * velocities, nums, den)]
+        velocities = _anchors(vel_cells, grid.N)
+        parts = [(_anchors(cells, n2) + tau * velocities, nums, den)]
     if src is not None:
         cells, nums, den = _source(grid, snapshot, src, Fraction(tau))
-        parts.append((space.positions(cells), nums, den))
+        parts.append((_anchors(cells, n2), nums, den))
     den = math.lcm(*(d for _, _, d in parts))
     merged: dict[tuple[float, ...], int] = {}
     for points, nums, d in parts:
@@ -595,9 +605,8 @@ def run_semigroup(
     _check_level(grid, reach)
 
     steps = _step_count(T, grid.N)
-    anchors = _Anchors(grid.N * grid.N)
     state = _ingest(grid, mu0)
-    positions, snapshot = _emit(grid, state, anchors, 0)
+    positions, snapshot, radius = _emit(grid, state, 0)
     times, states, masses, radii, exact = [], [], [], [], []
 
     def record(k: int):
@@ -605,7 +614,7 @@ def run_semigroup(
         times.append(k / grid.N)
         states.append(snapshot)
         masses.append(float(total))
-        radii.append(snapshot.support_radius())
+        radii.append(radius)
         exact.append(total)
 
     record(0)
@@ -616,7 +625,7 @@ def run_semigroup(
             raise SupportOverflow(str(err), step_index=k) from None
         except ProfileRangeError as err:
             raise ProfileRangeError(f"step {k}: {err}") from None
-        positions, snapshot = _emit(grid, state, anchors, k)
+        positions, snapshot, radius = _emit(grid, state, k)
         record(k)
 
     return Trajectory(

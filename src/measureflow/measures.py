@@ -34,6 +34,18 @@ def _quantize(value: float, decimals: int) -> float:
     return 0.0 if q == 0.0 else q  # normalize -0.0
 
 
+def _support_radius(positions: np.ndarray) -> float:
+    """Largest Euclidean norm of the rows of ``positions``; 0.0 for none."""
+    if not len(positions):
+        return 0.0
+    # per-row fsum keeps the rounding of a per-atom sum in any dim; sqrt is
+    # monotone and correctly rounded, so sqrt(max) == max(sqrt).  Squares
+    # past the float range are inf, as with Python floats, and silent.
+    with np.errstate(over="ignore"):
+        squares = (positions * positions).tolist()
+    return math.sqrt(max(map(math.fsum, squares)))
+
+
 def _canonical_atoms(
     atoms: Iterable[tuple[Sequence[float], float]],
     dim: int | None,
@@ -43,6 +55,8 @@ def _canonical_atoms(
     groups: dict[Position, list[float]] = {}
     for position, weight in atoms:
         pos = tuple(_quantize(c, decimals) for c in position)
+        if not all(map(math.isfinite, pos)):
+            raise ValueError(f"non-finite atom coordinate in {pos}")
         if dim is None:
             dim = len(pos)
         elif len(pos) != dim:
@@ -121,15 +135,7 @@ class DiscreteMeasure:
         return math.fsum(w for _, w in self.atoms)
 
     def support_radius(self) -> float:
-        if not self.atoms:
-            return 0.0
-        # per-row fsum keeps the rounding of a per-atom sum in any dim; sqrt is
-        # monotone and correctly rounded, so sqrt(max) == max(sqrt).  Squares
-        # past the float range are inf, as with Python floats, and silent.
-        P = self.positions_array()
-        with np.errstate(over="ignore"):
-            squares = (P * P).tolist()
-        return math.sqrt(max(map(math.fsum, squares)))
+        return _support_radius(self.positions_array())
 
     def integrate(self, f: Callable[[np.ndarray], float]) -> float:
         return math.fsum(w * float(f(np.asarray(pos))) for pos, w in self.atoms)

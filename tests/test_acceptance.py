@@ -243,7 +243,7 @@ def test_criterion_8_diffusion_self_convergence():
 def test_criterion_9_weak_residual_decay():
     problem = builtin_problem("translate")
     f = TestFunction.windowed_polynomial(
-        lambda x: x[0] ** 2, lambda x: np.array([2 * x[0]]), 2.0, 3.0, 1
+        lambda x: x[0] ** 2, lambda x: np.array([2 * x[0]]), 2.0, 3.0
     )
     residuals = []
     for n in (8, 16, 32):

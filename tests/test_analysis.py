@@ -33,7 +33,7 @@ class TestTestFunction:
 
     def test_gradient_matches_finite_differences(self):
         f = TestFunction.windowed_polynomial(
-            lambda x: x[0] ** 2, lambda x: np.array([2 * x[0]]), 1.5, 3.0, 1
+            lambda x: x[0] ** 2, lambda x: np.array([2 * x[0]]), 1.5, 3.0
         )
         points = [[0.1], [0.9], [1.7], [2.2], [2.9]]
         assert f.check_gradient(points)
@@ -44,7 +44,6 @@ class TestTestFunction:
             lambda x: np.array([x[1], x[0]]),
             1.0,
             2.0,
-            2,
         )
         assert f.check_gradient([[0.3, 0.4], [0.9, -0.2], [1.2, 0.7]])
 
@@ -66,7 +65,7 @@ class TestWeakResidual:
                                     velocity_bound=0.0)
         traj = run_semigroup(LatticeGrid(N=4, dim=1), d([0.25]), pvf, None, 1.0)
         f = TestFunction.windowed_polynomial(
-            lambda x: x[0] ** 3, lambda x: np.array([3 * x[0] ** 2]), 2.0, 3.0, 1
+            lambda x: x[0] ** 3, lambda x: np.array([3 * x[0] ** 2]), 2.0, 3.0
         )
         assert weak_residual(traj, f, t=0.25) == pytest.approx(0.0, abs=1e-12)
 
@@ -83,7 +82,7 @@ class TestWeakResidual:
         # for f linear on the path the Euler increment is exact
         problem = builtin_problem("translate")
         f = TestFunction.windowed_polynomial(
-            lambda x: x[0], lambda x: np.array([1.0]), 2.0, 3.0, 1
+            lambda x: x[0], lambda x: np.array([1.0]), 2.0, 3.0
         )
         for n in (8, 16):
             traj = run_semigroup(
@@ -95,7 +94,7 @@ class TestWeakResidual:
     def test_translate_quadratic_f_residual_is_dt(self):
         problem = builtin_problem("translate")
         f = TestFunction.windowed_polynomial(
-            lambda x: x[0] ** 2, lambda x: np.array([2 * x[0]]), 2.0, 3.0, 1
+            lambda x: x[0] ** 2, lambda x: np.array([2 * x[0]]), 2.0, 3.0
         )
         residuals = []
         for n in (8, 16, 32):

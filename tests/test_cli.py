@@ -51,6 +51,17 @@ class TestDistanceCommand:
         a = write_measure(tmp_path / "a.json", [[0.0, 1.0]])
         assert main(["distance", str(bad), a]) == 2
 
+    def test_non_finite_coordinate_exits_2(self, tmp_path, capsys):
+        # printed "distance": NaN and exited 0 before
+        a = write_measure(tmp_path / "a.json", [[math.nan, 1.0]])
+        b = write_measure(tmp_path / "b.json", [[1.0, 1.0]])
+        assert main(["distance", a, b, "--metric", "w1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ConfigError")
+        assert "non-finite atom coordinate" in captured.err
+
     def test_csv_measure_variant(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         a.write_text("0.0,1.0\n")
@@ -123,6 +134,23 @@ class TestSimulateCommand:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"problem": "translate", "N": 1, "T": 1.0}))
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 3
+
+    @pytest.mark.parametrize("config", [
+        # a NaN coordinate reached the stepper's lattice assertion (exit 1)
+        {"problem": "translate", "initial_measure": {"dim": 1, "atoms": [[math.nan, 1.0]]}},
+        # negative inline weights raised a bare ValueError (exit 1)
+        {"problem": "translate", "initial_measure": {"dim": 1, "atoms": [[0.0, -1.0]]}},
+        {"problem": "custom", "source": {
+            "kind": "constant", "measure": {"dim": 1, "atoms": [[0.0, -1.0]]}}},
+    ], ids=["nan_initial", "negative_initial", "negative_source"])
+    def test_bad_inline_measure_exits_2(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**config, "N": 4, "T": 1.0}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ConfigError: bad inline measure schema")
+        assert not (tmp_path / "o.csv").exists()
 
     def test_custom_config(self, tmp_path):
         mu = write_measure(tmp_path / "mu.json", [[0.25, 1.0]])

@@ -82,7 +82,8 @@ class TestGrid:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_is_aligned_false_on_non_finite(self, bad):
         # the scalar form raised ValueError (nan) or OverflowError (inf) here
-        mu = DiscreteMeasure.from_atoms([((0.25, bad), 1.0), ((0.0, 0.0), 1.0)])
+        # built directly: measure construction rejects a non-finite coordinate
+        mu = DiscreteMeasure(atoms=(((0.0, 0.0), 1.0), ((0.25, bad), 1.0)), dim=2)
         assert LatticeGrid(N=4, dim=2).is_aligned(mu) is False
 
     def test_is_aligned_empty(self):

@@ -30,6 +30,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DiscreteMeasure.from_atoms([([0.0], -0.1)])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinate_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite atom coordinate"):
+            DiscreteMeasure.from_atoms([([0.0, bad], 1.0)])
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             DiscreteMeasure.from_atoms([([0.0], 1.0), ([0.0, 1.0], 1.0)])

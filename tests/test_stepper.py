@@ -1,5 +1,6 @@
 """The array stepper against a reference stepper over per-atom Fractions,
-golden CLI digests, and the array forms of snapping and the diffusion profile."""
+golden CLI digests, and the array forms of snapping, anchors and the
+diffusion profile."""
 
 import hashlib
 import json
@@ -12,8 +13,8 @@ import pytest
 from measureflow.cli import main
 from measureflow.errors import ConfigError, ProfileRangeError
 from measureflow.fields import Ball, PiecewiseLinear, PvfSpec, SourceSpec
-from measureflow.lattice import LatticeGrid, _snap, _snap_scalar, run_semigroup
-from measureflow.measures import WEIGHT_FLOOR, DiscreteMeasure, LiftedMeasure
+from measureflow.lattice import LatticeGrid, _anchors, _snap, _snap_scalar, run_semigroup
+from measureflow.measures import WEIGHT_FLOOR, DiscreteMeasure, LiftedMeasure, _quantize
 
 d = DiscreteMeasure.dirac
 PHI = PiecewiseLinear.from_table([(0.0, -0.5), (1.0, 0.5)])
@@ -143,6 +144,11 @@ def test_matches_reference_stepper(name):
     assert len(traj.states) == case["steps"] + 1
     assert list(traj.exact_masses) == masses
     assert [state.atoms for state in traj.states] == atoms
+    assert _hex(traj.support_radii) == _hex(s.support_radius() for s in traj.states)
+
+
+def _hex(values):
+    return [v.hex() for v in values]
 
 
 def test_sub_floor_atoms_evolve_unrecorded():
@@ -163,6 +169,7 @@ def test_sub_floor_atoms_evolve_unrecorded():
     atoms, masses, counts = reference_run(grid, d([0.0]), pvf, src, 4)
     assert [state.atoms for state in traj.states] == atoms
     assert list(traj.exact_masses) == masses
+    assert _hex(traj.support_radii) == _hex(s.support_radius() for s in traj.states)
     assert traj.states[1].atoms == (((0.0,), 1.0),)
     assert Fraction(1.6e-15) / 4 < WEIGHT_FLOOR
     assert traj.exact_masses[1] == 1 + Fraction(1.6e-15) / 4
@@ -244,6 +251,43 @@ def test_array_snap_equals_scalar(n):
     for cells in (n, n2):
         got = _snap(np.array(values), cells).tolist()
         assert got == [_snap_scalar(v * cells, cells) for v in values]
+
+
+def _level_bound_cell(n2: int) -> int:
+    """The largest cell index the level bound (``_check_level``) admits."""
+    return int(min((0.5 - 1e-9) / (1e-12 * n2) - 1.5, 2.0**53 / n2) * n2)
+
+
+def _near_tie(k: int, n2: int) -> bool:
+    """Whether (k / n2) 1e12, taken exactly from the float k / n2, lies within
+    one rounding of the product of a half-integer: there a rint of the
+    rounded product may round the other way from round(k / n2, 12)."""
+    t = Fraction(k / n2) * 10**12
+    return abs(t - math.floor(t) - Fraction(1, 2)) <= math.ulp(float(t))
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 40, 47, 1000, 8192])
+def test_array_anchors_equal_scalar(n):
+    n2 = n * n
+    top = _level_bound_cell(n2)
+    rng = np.random.default_rng(n)
+    # every scale from one cell to the level bound, both signs
+    pool = np.exp(rng.uniform(0.0, math.log(top), size=20000)).astype(np.int64)
+    pool *= rng.choice([-1, 1], size=len(pool))
+    near = [k for k in pool.tolist() if _near_tie(k, n2)]
+    cells = [0, 1, -1, 7, -7, n2, -n2, n2 + 1, top, -top, *pool[:2000].tolist(), *near]
+    if n == 8192:  # exact ties: k / n2 = odd / 2^13, which has 13 decimals
+        odd = 2 * rng.integers(0, top // 2**14, size=500) + 1
+        cells += (2**13 * odd).tolist() + (-(2**13) * odd).tolist()
+    got = _anchors(np.array(cells, dtype=np.int64), n2).tolist()
+    assert _hex(got) == _hex(_quantize(k / n2, 12) for k in cells)
+    assert len(near) >= 50
+
+
+def test_array_anchors_normalize_negative_zero():
+    # round(-0.1e-12, 12) is -0.0; measure coordinates are +0.0
+    got = _anchors(np.array([-1, 0, 1], dtype=np.int64), 10**13).tolist()
+    assert _hex(got) == _hex([0.0, 0.0, 0.0])
 
 
 def test_array_profile_equals_scalar_bitwise():
