@@ -133,6 +133,10 @@ CASES = {
 }
 
 
+def _hex(values):
+    return [v.hex() for v in values]
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_matches_reference_stepper(name):
     case = CASES[name]
@@ -145,10 +149,6 @@ def test_matches_reference_stepper(name):
     assert list(traj.exact_masses) == masses
     assert [state.atoms for state in traj.states] == atoms
     assert _hex(traj.support_radii) == _hex(s.support_radius() for s in traj.states)
-
-
-def _hex(values):
-    return [v.hex() for v in values]
 
 
 def test_sub_floor_atoms_evolve_unrecorded():
