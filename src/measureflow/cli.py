@@ -14,6 +14,7 @@ import datetime
 import io
 import json
 import logging
+import math
 import os
 import random
 import sys
@@ -29,8 +30,8 @@ from .errors import ConfigError, MassMismatch, MeasureflowError, SupportOverflow
 from .fiber import fiber_w, fiber_wg
 from .fields import Ball, PiecewiseLinear, PvfSpec, SourceSpec
 from .flat import generalized_wasserstein
-from .lattice import LatticeGrid, ax_discretize, predicted_reach, run_semigroup
-from .measures import DiscreteMeasure, LiftedMeasure
+from .lattice import LatticeGrid, Trajectory, predicted_reach, run_semigroup
+from .measures import DiscreteMeasure, LiftedMeasure, _dyadic
 from .problems import ProblemSpec, builtin_problem
 from .wasserstein import wasserstein1
 
@@ -352,6 +353,37 @@ def cmd_convergence(args) -> int:
     return EXIT_OK
 
 
+def _expected_defects(problem: ProblemSpec, traj: Trajectory, t_final: float) -> list:
+    """(expected mass defect, allowed gap) per step of a run with a source.
+
+    A proportional source whose balls hold the transport envelope sees all
+    of the exact state mu_k: its defect is rate dt |mu_k|.  Otherwise the
+    source's exact form is applied to the recorded state, whose weights w_i
+    are rounded and miss the sub-floor atoms; the gap
+    rate dt (| |mu_k| - sum w_i | + 2^-51 sum w_i) covers both.  Constant
+    and custom sources read the same floats as the stepper: no gap."""
+    src, dt = problem.src, Fraction(1, traj.grid.N)
+    rate = Fraction(src.rate)
+    masses = traj.exact_masses[:-1]
+    if src.kind == "proportional":
+        reach = predicted_reach(problem.initial, problem.pvf, None, t_final)
+        carrier = src.carrier
+        if reach <= src.support_radius and (
+            carrier is None or math.hypot(*carrier.center) + reach <= carrier.radius
+        ):
+            return [(rate * dt * mass, Fraction(0)) for mass in masses]
+    rows = []
+    for state, mass in zip(traj.states, masses):
+        if src.kind == "custom":
+            nums, den = _dyadic(src.evaluate(state).weights())
+        else:
+            _, nums, den = src.created(state.positions_array(), *_dyadic(state.weights()))
+        recorded = sum(map(Fraction, state.weights()), Fraction(0))
+        slack = rate * dt * (abs(mass - recorded) + recorded / 2**51)
+        rows.append((dt * Fraction(sum(nums.tolist()), den), slack))
+    return rows
+
+
 def _validate_checks(problem: ProblemSpec, n: int, t_final: float, seed: int,
                      adaptive: bool) -> list[dict]:
     checks: list[dict] = []
@@ -359,23 +391,16 @@ def _validate_checks(problem: ProblemSpec, n: int, t_final: float, seed: int,
     traj = run_semigroup(grid, problem.initial, problem.pvf, problem.src, t_final)
 
     # mass bookkeeping: defects vanish without a source and equal
-    # dt * |A^x(s[mu_k])| with one
+    # dt * |s[mu_k]| with one
     defects = traj.mass_defects()
     if problem.src is None:
         mass_ok = all(d == 0 for d in defects)
         detail = {"max_abs_defect": float(max((abs(d) for d in defects), default=0))}
     else:
-        mass_ok = True
-        worst = 0.0
-        for k, defect in enumerate(defects):
-            sigma = ax_discretize(grid, problem.src.evaluate(traj.states[k]))
-            expected = Fraction(1, grid.N) * sum(
-                (Fraction(w) for _, w in sigma.atoms), Fraction(0)
-            )
-            gap = abs(defect - expected)
-            worst = max(worst, float(gap))
-            mass_ok = mass_ok and gap == 0
-        detail = {"max_abs_defect_gap": worst}
+        gaps = [(abs(d - e), slack) for d, (e, slack) in
+                zip(defects, _expected_defects(problem, traj, t_final))]
+        mass_ok = all(gap <= slack for gap, slack in gaps)
+        detail = {"max_abs_defect_gap": float(max((gap for gap, _ in gaps), default=0))}
     checks.append({"name": "mass_bookkeeping", "passed": bool(mass_ok), "details": detail})
 
     aligned = all(grid.is_aligned(state) for state in traj.states)

@@ -11,6 +11,11 @@ s[mu] supported in a fixed ball.  Built-in kinds:
   midpoint velocities;
 * constant and proportional creation sources.
 
+Each built-in kind has one exact form on rows with weights nums / den:
+``PvfSpec.lift`` and ``SourceSpec.created``.  The stepper calls them on its
+exact state; ``evaluate`` calls them on a float measure's weights, taken
+exactly, and rounds the result.  ``custom`` kinds are float evaluators only.
+
 Sources are restricted to nonnegative measures (pure creation); sinks are
 out of scope.
 """
@@ -25,7 +30,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, ProfileRangeError
 from .flat import generalized_wasserstein
-from .measures import DiscreteMeasure, LiftedMeasure
+from .measures import DiscreteMeasure, LiftedMeasure, _dyadic
 
 
 @dataclass(frozen=True)
@@ -148,23 +153,42 @@ class PvfSpec:
 
     # -- evaluation ---------------------------------------------------------
 
+    def lift(
+        self, positions: np.ndarray, nums: np.ndarray, den: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """Exact V[mu] of mu = sum_i nums[i] / den delta_{positions[i]}, rows
+        in increasing order (the diffusion quadrature needs them sorted):
+        (row of each piece, its velocity, piece nums, piece den)."""
+        if self.kind == "deterministic":
+            velocities = np.array([self.velocity(x) for x in positions], dtype=float)
+            if len(positions) and velocities.shape != positions.shape:
+                raise DimensionMismatch(
+                    f"velocity field returned shape {velocities.shape[1:]} "
+                    f"in dim {positions.shape[1]}"
+                )
+            return np.arange(len(positions)), velocities.reshape(positions.shape), nums, den
+        if self.kind == "diffusion1d":
+            if positions.shape[1] != 1:
+                raise DimensionMismatch("diffusion1d requires dim 1")
+            # atom a splits into q pieces at the cumulative-mass midpoints
+            # F(x_a-) + (2i - 1) w_a / 2q, i = 1..q: integers over 2 q den
+            q = self.quadrature_points
+            abscissae = []
+            below = 0
+            for w in nums.tolist():
+                s = 2 * q * below + w
+                for _ in range(q):
+                    abscissae.append(s)
+                    s += 2 * w
+                below += w
+            den2 = 2 * q * den
+            cumulative = np.array([s / den2 for s in abscissae], dtype=float)
+            velocities = self.phi.evaluate(cumulative).reshape(-1, 1)
+            return np.repeat(np.arange(len(nums)), q), velocities, np.repeat(nums, q), q * den
+        raise ValueError(f"PVF kind {self.kind!r} has no exact lift")
+
     def evaluate(self, mu: DiscreteMeasure) -> LiftedMeasure:
         """V[mu]; the base projection equals mu exactly for built-in kinds."""
-        if self.kind == "deterministic":
-            return LiftedMeasure.from_atoms(
-                (
-                    (pos, tuple(float(c) for c in self.velocity(np.asarray(pos))), w)
-                    for pos, w in mu.atoms
-                ),
-                dim=mu.dim,
-            )
-        if self.kind == "diffusion1d":
-            if mu.dim != 1:
-                raise DimensionMismatch("diffusion1d requires dim 1")
-            atoms = []
-            for pos, vel, w in self._diffusion_pieces(mu.atoms):
-                atoms.append((pos, vel, float(w)))
-            return LiftedMeasure.from_atoms(atoms, dim=1)
         if self.kind == "custom":
             lifted = self.evaluator(mu)
             base = lifted.base_projection()
@@ -176,26 +200,12 @@ class PvfSpec:
                 ):
                     raise ValueError("custom PVF violates the projection condition")
             return lifted
-        raise ValueError(f"unknown PVF kind {self.kind!r}")
-
-    def _diffusion_pieces(self, atoms):
-        """Quadrature split of the diffusion lift.
-
-        Atoms must be sorted by position (canonical measures are).  Weights
-        may be floats or Fractions; pieces carry weight w / q so exact
-        weight types stay exact.
-        """
-        q = self.quadrature_points
-        pieces, abscissae = [], []
-        cumulative = 0
-        for pos, w in atoms:
-            f_left = cumulative
-            cumulative = cumulative + w
-            for i in range(1, q + 1):
-                abscissae.append(float(f_left + (2 * i - 1) * w / (2 * q)))
-                pieces.append((pos, w / q))
-        velocities = self.phi.evaluate(np.array(abscissae, dtype=float)).tolist()
-        return [(pos, (v,), w) for (pos, w), v in zip(pieces, velocities)]
+        positions = mu.positions_array()
+        rows, velocities, nums, den = self.lift(positions, *_dyadic(mu.weights()))
+        return LiftedMeasure.from_atoms(
+            zip(positions[rows].tolist(), velocities.tolist(), (nums / den).tolist()),
+            dim=mu.dim,
+        )
 
     def check_growth(self, mu: DiscreteMeasure, lifted: LiftedMeasure | None = None,
                      slack: float = 1e-9) -> bool:
@@ -292,26 +302,41 @@ class SourceSpec:
             evaluator=evaluator,
         )
 
-    def evaluate(self, mu: DiscreteMeasure) -> DiscreteMeasure:
+    def created(
+        self, positions: np.ndarray, nums: np.ndarray, den: int
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """Exact s[mu] of mu = sum_i nums[i] / den delta_{positions[i]}:
+        (positions, nums, den).  A proportional source keeps the rows inside
+        its balls (``Ball.contains``) times its float rate, taken exactly."""
+        dim = positions.shape[1]
         if self.kind == "constant":
-            if self.measure.dim != mu.dim:
-                raise DimensionMismatch(
-                    f"source dim {self.measure.dim} vs state dim {mu.dim}"
-                )
-            return self.measure
+            if self.measure.dim != dim:
+                raise DimensionMismatch(f"source dim {self.measure.dim} vs state dim {dim}")
+            return (self.measure.positions_array(), *_dyadic(self.measure.weights()))
         if self.kind == "proportional":
-            ball = Ball(center=(0.0,) * mu.dim, radius=self.support_radius)
-            kept = mu.restrict(
-                lambda p: ball.contains(p)
-                and (self.carrier is None or self.carrier.contains(p))
+            p, q = self.rate.as_integer_ratio()
+            if not p:  # a zero rate creates no atoms, not zero-weight ones
+                return positions[:0], nums[:0], den
+            ball = Ball(center=(0.0,) * dim, radius=self.support_radius)
+            inside = np.array(
+                [
+                    ball.contains(x) and (self.carrier is None or self.carrier.contains(x))
+                    for x in positions.tolist()
+                ],
+                dtype=bool,
             )
-            return kept.scale(self.rate)
+            return positions[inside], nums[inside] * p, den * q
+        raise ValueError(f"source kind {self.kind!r} has no exact form")
+
+    def evaluate(self, mu: DiscreteMeasure) -> DiscreteMeasure:
+        """s[mu]; built-in kinds round ``created`` into a canonical measure."""
         if self.kind == "custom":
             out = self.evaluator(mu)
             if out.support_radius() > self.support_radius + 1e-9:
                 raise ValueError("custom source leaked outside its declared support ball")
             return out
-        raise ValueError(f"unknown source kind {self.kind!r}")
+        points, nums, den = self.created(mu.positions_array(), *_dyadic(mu.weights()))
+        return DiscreteMeasure.from_atoms(zip(points.tolist(), (nums / den).tolist()), dim=mu.dim)
 
 
 def probe_v2_lipschitz(

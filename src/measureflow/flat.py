@@ -20,11 +20,10 @@ from typing import Callable
 import numpy as np
 
 from ._simplex import WarmStart, solve_transport
-from .errors import DimensionMismatch, LipschitzViolation
+from .errors import DimensionMismatch
 from .measures import WEIGHT_FLOOR, DiscreteMeasure, SignedDecomposition
-from .wasserstein import TransportPlan, wasserstein1
+from .wasserstein import TransportPlan, lipschitz_values, signed_integral, wasserstein1
 
-BOUND_SLACK = 1e-9
 # Fast path: equal masses with all support points strictly closer than the
 # removal threshold 2 means the optimum removes nothing and W^g = W1.
 _FULL_TRANSPORT_DIAMETER = 2.0 * (1.0 - 1e-9)
@@ -44,9 +43,6 @@ class GwSolution:
     kept1: SignedDecomposition
     kept2: SignedDecomposition
     plan: TransportPlan
-
-    def transport_cost(self) -> float:
-        return self.plan.cost
 
 
 def _kept_atoms(measure, parts):
@@ -128,27 +124,6 @@ def generalized_wasserstein(
     return _solution_from_entries(m1, m2, entries)
 
 
-def _check_test_function(
-    f: Callable[[np.ndarray], float],
-    support: list[tuple[float, ...]],
-    sup_bound: float,
-    lip_bound: float,
-) -> list[float]:
-    values = [float(f(np.asarray(p))) for p in support]
-    for p, val in zip(support, values):
-        if abs(val) > sup_bound * (1 + BOUND_SLACK) + 1e-12:
-            raise LipschitzViolation(f"|f({p})| = {abs(val)} exceeds bound {sup_bound}")
-    for a in range(len(support)):
-        for b in range(a + 1, len(support)):
-            gap = abs(values[a] - values[b])
-            dist = math.dist(support[a], support[b])
-            if gap > lip_bound * dist * (1 + BOUND_SLACK) + 1e-12:
-                raise LipschitzViolation(
-                    f"Lipschitz bound {lip_bound} violated between {support[a]} and {support[b]}"
-                )
-    return values
-
-
 def gw_dual_probe(
     m1: DiscreteMeasure, m2: DiscreteMeasure, f: Callable[[np.ndarray], float]
 ) -> float:
@@ -157,13 +132,9 @@ def gw_dual_probe(
     union of supports).  Never exceeds the primal optimum up to tolerance."""
     if m1.dim != m2.dim:
         raise DimensionMismatch(f"dim {m1.dim} vs {m2.dim}")
-    support = [pos for pos, _ in m1.atoms] + [pos for pos, _ in m2.atoms]
-    values = _check_test_function(f, support, 1.0, 1.0)
-    n1 = len(m1.atoms)
-    return math.fsum(
-        [w * val for (_, w), val in zip(m1.atoms, values[:n1])]
-        + [-w * val for (_, w), val in zip(m2.atoms, values[n1:])]
-    )
+    points = np.concatenate([m1.positions_array(), m2.positions_array()])
+    values, _ = lipschitz_values(f, points, lip_bound=1.0, sup_bound=1.0)
+    return signed_integral(values, m1, m2)
 
 
 def integral_bound_check(
@@ -179,21 +150,8 @@ def integral_bound_check(
     """
     if m1.dim != m2.dim:
         raise DimensionMismatch(f"dim {m1.dim} vs {m2.dim}")
-    support = [pos for pos, _ in m1.atoms] + [pos for pos, _ in m2.atoms]
-    if not support:
-        return True
-    values = [float(f(np.asarray(p))) for p in support]
-    sup_norm = max(abs(v) for v in values)
-    lip = 0.0
-    for a in range(len(support)):
-        for b in range(a + 1, len(support)):
-            dist = math.dist(support[a], support[b])
-            if dist > 1e-15:
-                lip = max(lip, abs(values[a] - values[b]) / dist)
-    n1 = len(m1.atoms)
-    lhs = math.fsum(
-        [w * val for (_, w), val in zip(m1.atoms, values[:n1])]
-        + [-w * val for (_, w), val in zip(m2.atoms, values[n1:])]
-    )
-    bound = max(sup_norm, lip) * generalized_wasserstein(m1, m2).distance
+    points = np.concatenate([m1.positions_array(), m2.positions_array()])
+    values, lip = lipschitz_values(f, points)
+    lhs = signed_integral(values, m1, m2)
+    bound = max([*np.abs(values).tolist(), lip]) * generalized_wasserstein(m1, m2).distance
     return lhs <= bound + tol * (1.0 + abs(bound))

@@ -8,6 +8,12 @@ One step, in order: lift the state through the PVF, quantize the lift in
 space and velocity, move every quantized atom by dt * velocity, then add
 dt times the space-quantized source.  No operator fusion.
 
+Fields.  The built-in PVFs and sources act on the exact state through
+their array forms (``PvfSpec.lift``, ``SourceSpec.created``) on the cell
+anchors and exact weights.  Only ``custom`` kinds take a float path: they
+are evaluated on the emitted DiscreteMeasure and their float weights are
+taken exactly.
+
 State.  The stepper works on integer cell indices with exact weights: an
 int64 array of unique space cells, shape (n, dim), in lexicographic order,
 and one positive Python-int numerator per cell over one shared
@@ -35,8 +41,9 @@ once, as an already-canonical DiscreteMeasure.
 
 Sub-floor atoms.  An exact atom lighter than ``WEIGHT_FLOOR`` stays in the
 state and keeps moving (its velocity is evaluated, it feeds the diffusion
-quadrature), but the recorded DiscreteMeasure leaves it out, as the
-canonical form does; ``Trajectory.exact_masses`` counts it.
+quadrature and a proportional source), but the recorded DiscreteMeasure
+leaves it out, as the canonical form does; ``Trajectory.exact_masses``
+counts it.  Custom kinds see only the recorded atoms.
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ from .measures import (
     WEIGHT_FLOOR,
     DiscreteMeasure,
     LiftedMeasure,
+    _dyadic,
     _quantize,
     _support_radius,
 )
@@ -275,13 +283,6 @@ def _velocity_cells(grid: LatticeGrid, velocities: np.ndarray) -> np.ndarray:
     return _cells(velocities, grid.N, grid.velocity_extent, "velocity")
 
 
-def _dyadic(weights: Iterable[float]) -> tuple[np.ndarray, int]:
-    """Float weights as exact numerators over one power-of-two denominator."""
-    ratios = [w.as_integer_ratio() for w in weights]
-    den = max((d for _, d in ratios), default=1)
-    return np.array([p * (den // d) for p, d in ratios], dtype=object), den
-
-
 def _merge(parts: list[tuple[np.ndarray, np.ndarray, int]]) -> _State:
     """Sum weighted cells (cells, nums, den) into one reduced state."""
     den = math.lcm(*(d for _, _, d in parts))
@@ -339,55 +340,34 @@ def _lift(
     """av_discretize(V[state]) with exact weights: (space cells, velocity
     cells, nums, den).  ``positions`` are the anchors of ``state.cells`` and
     ``snapshot`` the emitted measure of ``state``."""
-    dim = grid.dim
-    if pvf.kind == "deterministic":
-        velocities = np.array([pvf.velocity(x) for x in positions], dtype=float)
-        if len(positions) and velocities.shape != positions.shape:
-            raise DimensionMismatch(
-                f"velocity field returned shape {velocities.shape[1:]} in dim {dim}"
-            )
-        velocities = velocities.reshape(positions.shape)
-        return state.cells, _velocity_cells(grid, velocities), state.nums, state.den
-    if pvf.kind == "diffusion1d":
-        if dim != 1:
-            raise DimensionMismatch("diffusion1d requires dim 1")
-        # atom a splits into q pieces at the cumulative-mass midpoints
-        # F(x_a-) + (2i - 1) w_a / 2q, i = 1..q: integers over 2 q den
-        q = pvf.quadrature_points
-        abscissae = []
-        below = 0
-        for w in state.nums.tolist():
-            s = 2 * q * below + w
-            for _ in range(q):
-                abscissae.append(s)
-                s += 2 * w
-            below += w
-        den2 = 2 * q * state.den
-        cumulative = np.array([s / den2 for s in abscissae], dtype=float)
-        velocities = pvf.phi.evaluate(cumulative).reshape(-1, 1)
-        return (
-            np.repeat(state.cells, q, axis=0),
-            _velocity_cells(grid, velocities),
-            np.repeat(state.nums, q),
-            q * state.den,
-        )
-    lifted = pvf.evaluate(snapshot)  # custom: a float lift, converted exactly
-    bases = np.array([b for b, _, _ in lifted.atoms], dtype=float).reshape(-1, dim)
-    velocities = np.array([v for _, v, _ in lifted.atoms], dtype=float).reshape(-1, dim)
-    nums, den = _dyadic(w for _, _, w in lifted.atoms)
-    return _space_cells(grid, bases), _velocity_cells(grid, velocities), nums, den
+    if pvf.kind == "custom":  # a float lift of the snapshot, converted exactly
+        lifted = pvf.evaluate(snapshot)
+        bases = np.array([b for b, _, _ in lifted.atoms], dtype=float).reshape(-1, grid.dim)
+        velocities = np.array([v for _, v, _ in lifted.atoms], dtype=float).reshape(-1, grid.dim)
+        nums, den = _dyadic(w for _, _, w in lifted.atoms)
+        return _space_cells(grid, bases), _velocity_cells(grid, velocities), nums, den
+    rows, velocities, nums, den = pvf.lift(positions, state.nums, state.den)
+    return state.cells[rows], _velocity_cells(grid, velocities), nums, den
 
 
 def _source(
-    grid: LatticeGrid, snapshot: DiscreteMeasure, src: SourceSpec, factor: Fraction
+    grid: LatticeGrid,
+    state: _State,
+    positions: np.ndarray,
+    snapshot: DiscreteMeasure,
+    src: SourceSpec,
+    factor: Fraction,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """factor * ax_discretize(s[snapshot]) with exact weights."""
-    sigma = src.evaluate(snapshot)
-    if sigma.dim != grid.dim:
-        raise DimensionMismatch(f"source dim {sigma.dim} vs state dim {grid.dim}")
-    nums, den = _dyadic(sigma.weights())
+    """factor * ax_discretize(s[state]) with exact weights."""
+    if src.kind == "custom":  # a float source of the snapshot, converted exactly
+        sigma = src.evaluate(snapshot)
+        if sigma.dim != grid.dim:
+            raise DimensionMismatch(f"source dim {sigma.dim} vs state dim {grid.dim}")
+        points, (nums, den) = sigma.positions_array(), _dyadic(sigma.weights())
+    else:
+        points, nums, den = src.created(positions, state.nums, state.den)
     return (
-        _space_cells(grid, sigma.positions_array()),
+        _space_cells(grid, points),
         nums * factor.numerator,
         den * factor.denominator,
     )
@@ -408,7 +388,7 @@ def _step(
         # moved anchor = (i + j)/N^2 = x_i + dt * v_j, still on the grid
         parts = [(cells + vel_cells, nums, den)]
     if src is not None:
-        parts.append(_source(grid, snapshot, src, Fraction(1, grid.N)))
+        parts.append(_source(grid, state, positions, snapshot, src, Fraction(1, grid.N)))
     return _merge(parts)
 
 
@@ -471,7 +451,7 @@ def interpolate(
         velocities = _anchors(vel_cells, grid.N)
         parts = [(_anchors(cells, n2) + tau * velocities, nums, den)]
     if src is not None:
-        cells, nums, den = _source(grid, snapshot, src, Fraction(tau))
+        cells, nums, den = _source(grid, state, positions, snapshot, src, Fraction(tau))
         parts.append((_anchors(cells, n2), nums, den))
     den = math.lcm(*(d for _, _, d in parts))
     merged: dict[tuple[float, ...], int] = {}

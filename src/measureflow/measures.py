@@ -46,6 +46,13 @@ def _support_radius(positions: np.ndarray) -> float:
     return math.sqrt(max(map(math.fsum, squares)))
 
 
+def _dyadic(weights: Iterable[float]) -> tuple[np.ndarray, int]:
+    """Float weights as exact numerators over one power-of-two denominator."""
+    ratios = [w.as_integer_ratio() for w in weights]
+    den = max((d for _, d in ratios), default=1)
+    return np.array([p * (den // d) for p, d in ratios], dtype=object), den
+
+
 def _canonical_atoms(
     atoms: Iterable[tuple[Sequence[float], float]],
     dim: int | None,
@@ -157,7 +164,7 @@ class DiscreteMeasure:
     def __add__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
         return self.add(other)
 
-    # scale and restrict keep positions and order, so the atoms stay canonical
+    # scale keeps positions and order, so the atoms stay canonical
 
     def scale(self, factor: float) -> "DiscreteMeasure":
         if factor < 0:
@@ -170,11 +177,6 @@ class DiscreteMeasure:
             if w >= WEIGHT_FLOOR:
                 atoms.append((pos, w))
         return DiscreteMeasure(atoms=tuple(atoms), dim=self.dim)
-
-    def restrict(self, predicate: Callable[[Position], bool]) -> "DiscreteMeasure":
-        return DiscreteMeasure(
-            atoms=tuple(atom for atom in self.atoms if predicate(atom[0])), dim=self.dim
-        )
 
     # -- one-dimensional CDF ------------------------------------------------
 

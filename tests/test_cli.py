@@ -217,6 +217,80 @@ class TestValidateCommand:
         assert "mass_bookkeeping" in names and "grid_alignment" in names
 
 
+    # three atoms with non-dyadic weights under a proportional source: with
+    # B(0, 5) covering the run the defects follow rate dt |mu_k| exactly; the
+    # carrier B(0.5, 0.6) does not cover the moving atoms, so the check
+    # recomputes the source on the recorded states within its rounding slack.
+    # In "sub_floor" a unit atom moving right leaves a trail of 2^-51 atoms
+    # below the weight floor, which the recorded states miss but the source
+    # sees: the slack must cover their mass
+    SOURCE_RUNS = {
+        "covered": {"source": {"kind": "proportional", "rate": 0.5, "R": 5.0}},
+        "carrier": {
+            "pvf": {"kind": "deterministic", "C": 0.5,
+                    "velocity": {"type": "constant", "value": [0.5]}},
+            "source": {"kind": "proportional", "rate": 0.5, "R": 5.0,
+                       "carrier": {"center": [0.5], "radius": 0.6}},
+        },
+        "sub_floor": {
+            "initial_measure": {"dim": 1, "atoms": [[0.0, 1.0]]}, "T": 0.5,
+            "pvf": {"kind": "deterministic", "C": 1.0,
+                    "velocity": {"type": "constant", "value": [1.0]}},
+            "source": {"kind": "proportional", "rate": 2.0**-48, "R": 5.0,
+                       "carrier": {"center": [0.0], "radius": 1.0}},
+        },
+    }
+
+    def _validate_source_run(self, tmp_path, name):
+        config = {
+            "problem": "custom",
+            "initial_measure": {"dim": 1, "atoms": [[0.0, 1 / 3], [0.25, 1 / 7], [0.5, 1 / 4]]},
+            "N": 8, "T": 1.0, **self.SOURCE_RUNS[name],
+        }
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "val.json"
+        code = main(["validate", "--config", str(path), "--out", str(out), "--no-timestamp"])
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        return code, checks["mass_bookkeeping"]
+
+    @pytest.mark.parametrize("name", sorted(SOURCE_RUNS))
+    def test_proportional_source_bookkeeping_passes(self, tmp_path, name):
+        code, check = self._validate_source_run(tmp_path, name)
+        assert code == 0 and check["passed"] is True
+
+    @pytest.mark.parametrize("name", ["carrier", "covered"])
+    def test_source_dropping_an_atom_fails_bookkeeping(self, tmp_path, name, monkeypatch):
+        from measureflow import lattice
+
+        source = lattice._source
+
+        def drop_first(*args):
+            cells, nums, den = source(*args)
+            return cells[1:], nums[1:], den
+
+        monkeypatch.setattr(lattice, "_source", drop_first)
+        code, check = self._validate_source_run(tmp_path, name)
+        assert code == 1 and check["passed"] is False
+        assert check["details"]["max_abs_defect_gap"] > 1e-4
+
+    def test_covered_source_bookkeeping_is_exact(self, tmp_path, monkeypatch):
+        # a source 2^-60 relative short stays inside the rounding slack of the
+        # recomputed source, but not in the closed form rate dt |mu_k|
+        from measureflow import lattice
+
+        source = lattice._source
+
+        def short(*args):
+            cells, nums, den = source(*args)
+            return cells, nums * (2**60 - 1), den * 2**60
+
+        monkeypatch.setattr(lattice, "_source", short)
+        code, check = self._validate_source_run(tmp_path, "covered")
+        assert code == 1 and check["passed"] is False
+        assert 0 < check["details"]["max_abs_defect_gap"] < 1e-18
+
+
 class TestDeterminism:
     def test_threads_do_not_change_bytes(self, tmp_path):
         results = {}

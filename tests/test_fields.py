@@ -114,10 +114,21 @@ class TestDiffusionPvf:
             assert fine == pytest.approx(0.5 * coarse, rel=1e-9)
 
     def test_exact_fraction_pieces(self):
+        # the exact lift splits each atom into q pieces of nums / (q den)
+        # whose sum is the atom's weight, and the pieces of all atoms sum to
+        # the mass, with no rounding
         pvf = PvfSpec.diffusion1d(PHI, quadrature_points=8)
-        pieces = list(pvf._diffusion_pieces([((0.0,), Fraction(1))]))
-        assert sum(w for _, _, w in pieces) == Fraction(1)
-        assert all(isinstance(w, Fraction) for _, _, w in pieces)
+        positions = np.array([[-0.5], [0.0], [0.25]])
+        nums = np.array([1, 3, 2**70 + 1], dtype=object)
+        den = 2**71 + 7
+        rows, velocities, piece_nums, piece_den = pvf.lift(positions, nums, den)
+        assert rows.tolist() == [0] * 8 + [1] * 8 + [2] * 8
+        assert velocities.shape == (24, 1)
+        assert piece_den == 8 * den
+        for a, num in enumerate(nums.tolist()):
+            assert sum(Fraction(n, piece_den) for n in piece_nums[rows == a]) == Fraction(num, den)
+        assert sum(Fraction(n, piece_den) for n in piece_nums) == Fraction(sum(nums), den)
+        assert all(type(n) is int for n in piece_nums)
 
     def test_custom_projection_enforced(self):
         bad = PvfSpec.custom(

@@ -1,0 +1,30 @@
+"""The experiment scripts run end to end at small sizes."""
+
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _run(monkeypatch, capsys, name, *args):
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n", ["1", "3", "12"])
+def test_probe_semigroup_small_levels(monkeypatch, capsys, n):
+    # germ times are steps of the 2N run, so no N below 16 is rejected
+    out = _run(monkeypatch, capsys, "probe_semigroup.py", "--N", n)
+    assert f"germ table from x0=1 at N={2 * int(n)}" in out
+    assert "quadratic coefficient" in out
+
+
+def test_convergence_sweep_small_levels(monkeypatch, capsys):
+    out = _run(monkeypatch, capsys, "convergence_sweep.py", "--levels", "2,4,8", "--T", "0.5")
+    for name in ("translate", "diffusion1d", "source-only"):
+        assert f"== {name} (metric gw, T=0.5) ==" in out
+    assert out.count("fitted rate") == 3

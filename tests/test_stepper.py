@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from measureflow.cli import main
+from measureflow.cli import _build_problem, main
 from measureflow.errors import ConfigError, ProfileRangeError
 from measureflow.fields import Ball, PiecewiseLinear, PvfSpec, SourceSpec
 from measureflow.lattice import LatticeGrid, _anchors, _snap, _snap_scalar, run_semigroup
@@ -65,6 +65,24 @@ def _lift(grid, state, pvf, dim):
     return lift
 
 
+def _created(grid, state, src, dim):
+    """(cell, exact weight) pairs of the source of the exact state."""
+    if src.kind == "proportional":
+        ball = Ball((0.0,) * dim, src.support_radius)
+        return [
+            (idx, Fraction(src.rate) * w)
+            for idx, w in sorted(state.items())
+            if ball.contains(grid.space_anchor(idx))
+            and (src.carrier is None or src.carrier.contains(grid.space_anchor(idx)))
+        ]
+    if src.kind == "constant":
+        return [(grid.space_index(pos), Fraction(w)) for pos, w in src.measure.atoms]
+    return [
+        (grid.space_index(pos), Fraction(w))
+        for pos, w in src.evaluate(_emit(grid, state, dim)).atoms
+    ]
+
+
 def reference_run(grid, mu0, pvf, src, steps):
     """(recorded atoms per state, exact masses, exact atom counts)."""
     dim = mu0.dim
@@ -87,9 +105,8 @@ def reference_run(grid, mu0, pvf, src, steps):
                 moved = tuple(i + j for i, j in zip(space_idx, vel_idx))
                 new[moved] = new.get(moved, Fraction(0)) + w
         if src is not None:
-            for pos, w in src.evaluate(_emit(grid, state, dim)).atoms:
-                idx = grid.space_index(pos)
-                new[idx] = new.get(idx, Fraction(0)) + Fraction(w) / grid.N
+            for idx, w in _created(grid, state, src, dim):
+                new[idx] = new.get(idx, Fraction(0)) + w / grid.N
         state = {idx: w for idx, w in new.items() if w > 0}
     return atoms, masses, counts
 
@@ -178,6 +195,35 @@ def test_sub_floor_atoms_evolve_unrecorded():
     assert velocity_calls == sum(counts[:-1])  # one call per exact atom and step
 
 
+@pytest.mark.parametrize("speed", [None, 0.5])
+def test_proportional_source_ledger_is_exact(speed):
+    # non-dyadic weights 1/3, 1/7, 1/4 inside B(0, 5): the source reads the
+    # exact state, so every step multiplies the exact mass by 1 + rate / N
+    mu0 = DiscreteMeasure.from_atoms([([0.0], 1 / 3), ([0.25], 1 / 7), ([0.5], 1 / 4)])
+    pvf = None if speed is None else PvfSpec.deterministic(
+        lambda x: (speed,), growth_constant=speed, velocity_bound=speed)
+    traj = run_semigroup(LatticeGrid(N=8, dim=1), mu0, pvf,
+                         SourceSpec.proportional(0.5, 5.0), 1.0)
+    mass0 = sum(map(Fraction, mu0.weights()))
+    assert list(traj.exact_masses) == [(1 + Fraction(1, 16)) ** k * mass0 for k in range(9)]
+
+
+def test_sub_floor_atom_in_ball_creates_mass():
+    # a unit atom moving right leaves dt * rate = 2^-51 of created mass at 0,
+    # below the weight floor; in the next step that sub-floor atom creates
+    # 2^-102 of its own before it moves on, and nothing records either
+    rate = 2.0**-48
+    pvf = PvfSpec.deterministic(lambda x: (1.0,), growth_constant=1.0, velocity_bound=1.0)
+    traj = run_semigroup(LatticeGrid(N=8, dim=1), d([0.0]), pvf,
+                         SourceSpec.proportional(rate, 5.0), 2 / 8)
+    tiny = Fraction(2) ** -51
+    assert traj.exact_masses[1] == 1 + tiny
+    assert traj.exact_masses[2] == (1 + tiny) ** 2
+    assert traj.exact_masses[2] - traj.exact_masses[1] - tiny == tiny * tiny
+    assert [state.atoms for state in traj.states] == [
+        (((0.0,), 1.0),), (((0.125,), 1.0),), (((0.25,), 1.0),)]
+
+
 # -- golden digests: preset trajectories recorded from the Fraction stepper --
 
 GOLDEN = {
@@ -208,29 +254,54 @@ def test_preset_trajectory_digests(preset, n, tmp_path):
     assert digests == GOLDEN[preset, n]
 
 
-def test_2d_identity_source_digests(tmp_path):
-    """A 2D trajectory (20 atoms growing to 172), recorded from the csv.writer
-    output: the identity field with a proportional source, as in the
-    benchmark's simulate.identity_source at a smaller size."""
-    atoms = [[(7 * k % 19) / 19 - 0.5, (11 * k % 17) / 17 - 0.5, (k % 5 + 1) / 60]
-             for k in range(20)]
-    config = {
-        "problem": "custom",
-        "initial_measure": {"dim": 2, "atoms": atoms},
-        "pvf": {"kind": "deterministic", "velocity": {"type": "identity"}, "C": 1.0},
-        "source": {"kind": "proportional", "rate": 0.5, "R": 2.0},
-        "N": 8, "T": 1.0, "adaptive_extent": True,
-    }
+IDENTITY_SOURCE_CONFIG = {
+    "problem": "custom",
+    "initial_measure": {
+        "dim": 2,
+        "atoms": [[(7 * k % 19) / 19 - 0.5, (11 * k % 17) / 17 - 0.5, (k % 5 + 1) / 60]
+                  for k in range(20)],
+    },
+    "pvf": {"kind": "deterministic", "velocity": {"type": "identity"}, "C": 1.0},
+    "source": {"kind": "proportional", "rate": 0.5, "R": 2.0},
+    "N": 8, "T": 1.0, "adaptive_extent": True,
+}
+
+
+def _simulate_config(tmp_path, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "traj.csv"
     assert main(["simulate", "--config", str(path), "--out", str(out), "--no-timestamp"]) == 0
+    return out
+
+
+def test_2d_identity_source_digests(tmp_path):
+    """A 2D trajectory (20 atoms growing to 172), recorded from the csv.writer
+    output: the identity field with a proportional source, as in the
+    benchmark's simulate.identity_source at a smaller size.  The reference
+    stepper reproduces these states (test_2d_identity_source_matches_reference)."""
+    out = _simulate_config(tmp_path, IDENTITY_SOURCE_CONFIG)
     digests = tuple(
         hashlib.sha256(path.read_bytes()).hexdigest()
         for path in (out, tmp_path / "traj.csv.summary.json")
     )
-    assert digests == ("3488dad8166fb514613d56d83d339f3ebdb7b1a28bc28f2a38fddc53fc30e4b2",
+    assert digests == ("eedb10b27de07dc5b7f00078ce2c71f77fc1d0ca3fa9034c70228aaa06c803b4",
                        "31d889a36d505cdb01ccffa9f7dda65f7083148439904187eeb3407ec1656ebf")
+
+
+def test_2d_identity_source_matches_reference(tmp_path):
+    config = IDENTITY_SOURCE_CONFIG
+    out = _simulate_config(tmp_path, config)
+    states: dict[float, list] = {}
+    for line in out.read_text().splitlines()[1:]:
+        t, _, x1, x2, w = map(float, line.split(","))
+        states.setdefault(t, []).append(((x1, x2), w))
+    problem = _build_problem(config, tmp_path)
+    grid = LatticeGrid(N=config["N"], dim=2, extent_radius=100.0)
+    atoms, masses, _ = reference_run(grid, problem.initial, problem.pvf, problem.src, 8)
+    assert [tuple(state) for state in states.values()] == atoms
+    summary = json.loads((tmp_path / "traj.csv.summary.json").read_text())
+    assert summary["masses"] == [float(m) for m in masses]
 
 
 # -- array snap and profile -------------------------------------------------------

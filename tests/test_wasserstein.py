@@ -1,4 +1,7 @@
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -7,6 +10,7 @@ from measureflow.errors import DimensionMismatch, LipschitzViolation, MassMismat
 from measureflow.measures import DiscreteMeasure
 from measureflow.wasserstein import (
     dual_lower_bound,
+    lipschitz_values,
     wasserstein1,
     wasserstein1_1d,
     wasserstein1_1d_uniform,
@@ -161,3 +165,43 @@ class TestDualLowerBound:
     def test_violation_detected(self):
         with pytest.raises(LipschitzViolation):
             dual_lower_bound(d([0.0]), d([1.0]), lambda x: 5.0 * x[0])
+
+    def test_one_call_per_point(self):
+        calls = []
+
+        def f(x):
+            calls.append(1)
+            return float(x[0])
+
+        m1 = DiscreteMeasure.from_atoms([([0.0], 0.5), ([1.0], 0.5)])
+        assert dual_lower_bound(m1, d([0.25]), f) == pytest.approx(0.25)
+        assert len(calls) == 3
+
+
+class TestLipschitzValues:
+    def test_300_points_against_pairwise_loop(self, rng):
+        points = rng.uniform(-2.0, 2.0, size=(300, 2))
+        anchors = rng.uniform(-2.0, 2.0, size=(4, 2))
+
+        def f(x):  # 1-Lipschitz: the distance to the anchors
+            return min(math.dist(x, a) for a in anchors)
+
+        values, lip = lipschitz_values(f, points, lip_bound=1.0, sup_bound=5.0)
+        assert values.tolist() == [f(p) for p in points]
+        pairs = [(a, b) for a in range(300) for b in range(a + 1, 300)]
+        brute = max(abs(values[a] - values[b]) / math.dist(points[a], points[b])
+                    for a, b in pairs)
+        assert lip == pytest.approx(brute, rel=1e-12) and lip <= 1.0
+        top = float(np.abs(values).max())
+        lipschitz_values(f, points, lip_bound=brute, sup_bound=top)
+        with pytest.raises(LipschitzViolation):
+            lipschitz_values(f, points, lip_bound=brute * (1 - 1e-6))
+        with pytest.raises(LipschitzViolation):
+            lipschitz_values(f, points, sup_bound=top * (1 - 1e-6))
+
+    def test_coincident_and_too_few_points(self):
+        values, lip = lipschitz_values(lambda x: 1.0, np.zeros((2, 1)), lip_bound=0.0)
+        assert values.tolist() == [1.0, 1.0] and lip == 0.0
+        assert lipschitz_values(lambda x: 1.0, np.zeros((0, 2)))[1] == 0.0
+        close = np.array([[0.0], [0.0], [1e-3]])
+        assert lipschitz_values(lambda x: 5.0 * x[0], close)[1] == pytest.approx(5.0)
