@@ -238,10 +238,11 @@ def convergence_study(
     distances to the exact reference when the problem declares one, with a
     least-squares convergence rate.
 
-    Levels run one after another.  Each level pair, and each level's
-    reference loop, passes one ``WarmStart`` through its time loop, so a
-    solve starts from the previous time's optimal basis when the supplies
-    and demands did not change."""
+    Levels run one after another.  A level whose run leaves its extent is
+    excluded, and SupportOverflow is raised when fewer than two remain.
+    Each level pair, and each level's reference loop, passes one
+    ``WarmStart`` through its time loop, so a solve starts from the previous
+    time's optimal basis when the supplies and demands did not change."""
     levels = sorted(set(int(n) for n in n_list))
     if len(levels) < 3:
         raise ValueError("convergence_study needs at least 3 levels")
@@ -259,6 +260,11 @@ def convergence_study(
 
     excluded = tuple(n for n, r in zip(levels, runs) if r is None)
     usable = [(n, r) for n, r in zip(levels, runs) if r is not None]
+    if len(usable) < 2:  # no level pair: no distance, and no rate
+        raise SupportOverflow(
+            f"levels {', '.join(map(str, excluded))} overflow their extents, "
+            "leaving no level pair to compare; increase N or enable the adaptive extent"
+        )
 
     pair_distances = []
     for (nc, tc), (nf, tf) in zip(usable, usable[1:]):

@@ -134,7 +134,7 @@ def _build_pvf(spec: dict | None, constants: dict) -> PvfSpec | None:
         table = spec.get("phi")
         if not table:
             raise ConfigError("diffusion1d needs a phi breakpoint table")
-        q = int(spec.get("q", spec.get("quadrature_points", 8)))
+        q = _positive_int(spec.get("q", spec.get("quadrature_points", 8)), "q")
         try:
             phi = PiecewiseLinear.from_table(table)
         except ValueError as err:
@@ -156,10 +156,10 @@ def _build_source(
             raise ConfigError("constant source needs a measure (inline or path)")
         sigma = _config_measure(measure, config_dir)
         radius = spec.get("R")
-        return SourceSpec.constant(sigma, None if radius is None else float(radius))
+        return SourceSpec.constant(sigma, None if radius is None else _number(radius, "R"))
     if kind == "proportional":
-        rate = float(spec.get("rate", 0.0))
-        radius = float(spec.get("R", 1.0))
+        rate = _number(spec.get("rate", 0.0), "rate")
+        radius = _number(spec.get("R", 1.0), "R")
         carrier = spec.get("carrier")
         ball = None
         if carrier is not None:
@@ -202,6 +202,20 @@ def _build_problem(config: dict, config_dir: Path) -> ProblemSpec:
     return problem
 
 
+def _number(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+
+
+def _final_time(config: dict, args) -> float:
+    t_final = _number(config.get("T", args.T), "T")
+    if not (t_final > 0 and math.isfinite(t_final)):
+        raise ConfigError(f"T must be positive and finite, got {t_final}")
+    return t_final
+
+
 def _positive_int(value, name: str) -> int:
     try:
         n = int(value)
@@ -233,9 +247,7 @@ def cmd_simulate(args) -> int:
     config, config_dir = _load_config(args)
     problem = _build_problem(config, config_dir)
     n = _positive_int(config.get("N", args.N), "N")
-    t_final = float(config.get("T", args.T))
-    if t_final <= 0:
-        raise ConfigError(f"T must be positive, got {t_final}")
+    t_final = _final_time(config, args)
     grid = LatticeGrid(
         N=n, dim=problem.initial.dim,
         adaptive_extent=bool(config.get("adaptive_extent", False)),
@@ -327,7 +339,7 @@ def cmd_convergence(args) -> int:
     levels = [_positive_int(n, "level") for n in levels]
     if len(set(levels)) < 3:
         raise ConfigError("convergence needs at least 3 distinct levels")
-    t_final = float(config.get("T", args.T))
+    t_final = _final_time(config, args)
     metric = config.get("metric", args.metric)
     if metric not in ("w1", "gw"):
         raise ConfigError(f"convergence metric must be w1 or gw, got {metric!r}")
@@ -458,9 +470,7 @@ def cmd_validate(args) -> int:
     config, config_dir = _load_config(args)
     problem = _build_problem(config, config_dir)
     n = _positive_int(config.get("N", args.N), "N")
-    t_final = float(config.get("T", args.T))
-    if t_final <= 0:
-        raise ConfigError(f"T must be positive, got {t_final}")
+    t_final = _final_time(config, args)
     seed = int(config.get("seed", 0))
     checks = _validate_checks(
         problem, n, t_final, seed, bool(config.get("adaptive_extent", False))

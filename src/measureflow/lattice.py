@@ -25,16 +25,21 @@ is reduced by the gcd once per step.  Numerators are Python ints because
 the denominator outgrows 64 bits within a few dozen steps.
 
 Same floats as a stepper over per-atom Fractions.  A weight is emitted as
-``num / den``; int / int is correctly rounded, so it is float(Fraction)
-whatever factors the shared denominator carries.  Diffusion quadrature
-abscissae are integers over 2 q den and convert the same way.  The array
-snap (``_snap``) and profile (``PiecewiseLinear.evaluate``) do the same
-float operations in the same order as their per-point forms.  The anchors
-round(k / N^2, 12) are computed on whole cell arrays (``_anchors``): the
-integer R that ``rint`` gives for t = (k / N^2) 1e12 is the one Python's
-correctly rounded ``round`` picks unless t lies within one rounding error
-of a half-integer, and R / 1e12 is correctly rounded for |R| < 2^53; those
-near-ties (every |t| >= 2^51 among them) take the scalar ``round``.  Below
+the correctly rounded ``num / den``, so it is float(Fraction) whatever
+factors the shared denominator carries; ``_ratios`` converts a whole array
+at once (float(num) scaled by 2^-k when den = 2^k, int / int otherwise).
+Diffusion quadrature abscissae are integers over 2 q den, built on object
+arrays, and convert the same way.  The array snap (``_snap``) and profile
+(``PiecewiseLinear.evaluate``) do the same float operations in the same
+order as their per-point forms; the source balls (``Ball.contains_rows``)
+hand rows within 1e-14 of the bound to the scalar ``math.dist`` test, and
+the support radius rounds each row's sum of squares once, as fsum does.
+The anchors round(k / N^2, 12) are computed on whole cell arrays
+(``_anchors``): the integer R that ``rint`` gives for t = (k / N^2) 1e12 is
+the one Python's correctly rounded ``round`` picks unless t lies within one
+rounding error of a half-integer, and R / 1e12 is correctly rounded for
+|R| < 2^53; those near-ties (every |t| >= 2^51 among them) take the scalar
+``round``.  Below
 the level bound (``_check_level``) the anchors re-snap to k and increase
 with k, so sorted cells give sorted positions and each state is emitted
 once, as an already-canonical DiscreteMeasure.
@@ -64,6 +69,7 @@ from .measures import (
     LiftedMeasure,
     _dyadic,
     _quantize,
+    _ratios,
     _support_radius,
 )
 
@@ -318,7 +324,7 @@ def _emit(
     anchor = _outside(positions, grid.space_extent) if step > 0 else None
     if anchor is not None:
         raise SupportOverflow(f"atom at {anchor} left the space extent", step_index=step)
-    weights = np.array((state.nums / state.den).tolist())
+    weights = _ratios(state.nums, state.den)
     kept = weights >= WEIGHT_FLOOR
     recorded = positions[kept]
     off = (_snap(recorded, n2) != state.cells[kept]).any(axis=1)

@@ -35,15 +35,43 @@ def _quantize(value: float, decimals: int) -> float:
 
 
 def _support_radius(positions: np.ndarray) -> float:
-    """Largest Euclidean norm of the rows of ``positions``; 0.0 for none."""
+    """Largest Euclidean norm of the rows of ``positions``; 0.0 for none,
+    inf when a sum of squares passes the float range."""
     if not len(positions):
         return 0.0
-    # per-row fsum keeps the rounding of a per-atom sum in any dim; sqrt is
-    # monotone and correctly rounded, so sqrt(max) == max(sqrt).  Squares
-    # past the float range are inf, as with Python floats, and silent.
+    # the sum of squares of each row is rounded once, as math.fsum rounds
+    # it: a numpy row sum of at most two floats is one rounding, so it has
+    # fsum's bits; from dim 3 on, fsum per row.  sqrt is monotone and
+    # correctly rounded, so sqrt(max) == max(sqrt).
     with np.errstate(over="ignore"):
-        squares = (positions * positions).tolist()
-    return math.sqrt(max(map(math.fsum, squares)))
+        squares = positions * positions
+        if positions.shape[1] <= 2:
+            return math.sqrt(squares.sum(axis=1).max())
+    try:
+        return math.sqrt(max(map(math.fsum, squares.tolist())))
+    except OverflowError:  # fsum raises where the rounded sum is inf
+        return math.inf
+
+
+def _ratios(nums: np.ndarray, den: int) -> np.ndarray:
+    """Float array of nums[i] / den (Python ints), each correctly rounded
+    as int / int is.
+
+    For den = 2^k, float(num) is correctly rounded (half to even) and the
+    scaling by 2^-k is exact while the result stays normal, so ldexp gives
+    the quotient's bits.  Any other den, a numerator whose float would pass
+    the float range, or a result below 2^-1022 (where ldexp would round a
+    second time) takes the division per atom."""
+    k = den.bit_length() - 1
+    if den == 1 << k:
+        try:
+            scaled = np.ldexp(nums.astype(float), -k)
+        except OverflowError:
+            pass
+        else:
+            if not ((scaled < 2.0**-1022) & (scaled != 0.0)).any():
+                return scaled
+    return np.array([num / den for num in nums.tolist()], dtype=float)
 
 
 def _dyadic(weights: Iterable[float]) -> tuple[np.ndarray, int]:

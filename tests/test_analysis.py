@@ -13,6 +13,7 @@ from measureflow.analysis import (
     weak_residual,
 )
 from measureflow._simplex import WarmStart
+from measureflow.errors import SupportOverflow
 from measureflow.fields import PvfSpec
 from measureflow.flat import generalized_wasserstein
 from measureflow.lattice import LatticeGrid, run_semigroup
@@ -142,6 +143,14 @@ class TestConvergenceStudy:
         dists = [dist for _, _, dist in report.pair_distances]
         assert dists[1] < dists[0]
         assert math.isfinite(report.rate) and report.rate > 0
+
+    def test_no_usable_level_pair_raises(self):
+        # T = 100 takes the translate preset past every level's extent
+        problem = builtin_problem("translate")
+        with pytest.raises(SupportOverflow, match="levels 2, 4, 8"):
+            convergence_study(problem, [2, 4, 8], 100.0)
+        with pytest.raises(SupportOverflow, match="levels 2, 4"):
+            convergence_study(problem, [2, 4, 64], 20.0)
 
     def test_needs_three_levels(self):
         with pytest.raises(ValueError):

@@ -152,6 +152,46 @@ class TestSimulateCommand:
         assert err.startswith("error: ConfigError: bad inline measure schema")
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("config", [
+        {"problem": "translate", "T": math.nan},
+        {"problem": "translate", "T": math.inf},
+        {"problem": "custom", "initial_measure": {"dim": 1, "atoms": [[0.0, 1.0]]},
+         "pvf": {"kind": "diffusion1d", "phi": [[0.0, -0.5], [1.0, 0.5]], "q": 0}},
+        {"problem": "custom", "initial_measure": {"dim": 1, "atoms": [[0.0, 1.0]]},
+         "source": {"kind": "proportional", "rate": "fast", "R": 2.0}},
+        {"problem": "custom", "initial_measure": {"dim": 1, "atoms": [[0.0, 1.0]]},
+         "source": {"kind": "proportional", "rate": 0.5, "R": [2.0]}},
+    ], ids=["nan_T", "inf_T", "q_zero", "text_rate", "list_R"])
+    def test_bad_config_number_exits_2(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"N": 4, "T": 1.0, **config}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: ConfigError: ")
+
+    def test_carrier_of_another_dim_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "problem": "custom", "N": 4, "T": 1.0,
+            "initial_measure": {"dim": 1, "atoms": [[0.0, 1.0]]},
+            "source": {"kind": "proportional", "rate": 0.5, "R": 2.0,
+                       "carrier": {"center": [0.0, 0.0], "radius": 1.0}},
+        }))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: DimensionMismatch: ")
+
+    @pytest.mark.parametrize("atom", [[1e154, 1e154], [1e200, 0.0]])
+    def test_overflowing_support_radius_exits_2(self, tmp_path, capsys, atom):
+        # the squared norm of either atom passes the float range: the radius
+        # is inf, and the level check rejects the run
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "problem": "custom", "N": 4, "T": 1.0, "adaptive_extent": True,
+            "initial_measure": {"dim": 2, "atoms": [[*atom, 1.0]]},
+            "pvf": {"kind": "deterministic", "velocity": {"type": "identity"}, "C": 1.0},
+        }))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        assert "support radius inf" in capsys.readouterr().err
+
     def test_custom_config(self, tmp_path):
         mu = write_measure(tmp_path / "mu.json", [[0.25, 1.0]])
         cfg = tmp_path / "cfg.json"
@@ -202,7 +242,34 @@ class TestConvergenceCommand:
         )
 
 
+    def test_nan_t_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "translate", "T": math.nan}))
+        out = tmp_path / "r.json"
+        assert main(["convergence", "--config", str(cfg), "--levels", "4,8,16",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ConfigError: T must be")
+        assert not out.exists()
+
+    def test_no_usable_level_pair_exits_3(self, tmp_path, capsys):
+        # every level overflows the literal extent [-N, N]: no distance and
+        # no rate, rather than an empty report with rate Infinity
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "translate", "T": 100}))
+        out = tmp_path / "r.json"
+        assert main(["convergence", "--config", str(cfg), "--levels", "2,4,8",
+                     "--out", str(out)]) == 3
+        assert "levels 2, 4, 8" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestValidateCommand:
+    def test_nan_t_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "translate", "T": math.nan}))
+        assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: ConfigError: T must be")
+
     @pytest.mark.parametrize("preset", ["translate", "diffusion1d", "source-only"])
     def test_presets_pass(self, tmp_path, preset):
         out = tmp_path / "val.json"

@@ -130,6 +130,38 @@ class TestDiffusionPvf:
         assert sum(Fraction(n, piece_den) for n in piece_nums) == Fraction(sum(nums), den)
         assert all(type(n) is int for n in piece_nums)
 
+    @staticmethod
+    def old_abscissae(nums, q):
+        """The per-piece loop the array quadrature replaced: integers over 2 q den."""
+        abscissae, below = [], 0
+        for w in nums:
+            s = 2 * q * below + w
+            for _ in range(q):
+                abscissae.append(s)
+                s += 2 * w
+            below += w
+        return abscissae
+
+    @pytest.mark.parametrize("q", [1, 3, 8])
+    @pytest.mark.parametrize("den", [2**60, 2**130, 3 * 2**40, 10**30],
+                             ids=["2^60", "2^130", "3*2^40", "10^30"])
+    def test_abscissae_match_the_piece_loop(self, q, den):
+        # with the identity profile every velocity is its abscissa, so the
+        # lift's velocities are the abscissae converted to floats
+        pvf = PvfSpec.diffusion1d([(0.0, 0.0), (1.0, 1.0)], quadrature_points=q)
+        rng = np.random.default_rng(q)
+        cuts = sorted({int(c) for c in rng.integers(1, 2**62, 12)})
+        cuts = [c * den // 2**62 for c in cuts]
+        nums = [b - a for a, b in zip([0, *cuts], [*cuts, den]) if b > a]
+        positions = np.arange(len(nums), dtype=float).reshape(-1, 1)
+        rows, velocities, piece_nums, piece_den = pvf.lift(
+            positions, np.array(nums, dtype=object), den)
+        want = [(s / (2 * q * den)).hex() for s in self.old_abscissae(nums, q)]
+        assert [v.hex() for v in velocities[:, 0].tolist()] == want
+        assert rows.tolist() == np.repeat(np.arange(len(nums)), q).tolist()
+        assert piece_nums.tolist() == np.repeat(np.array(nums, dtype=object), q).tolist()
+        assert piece_den == q * den
+
     def test_custom_projection_enforced(self):
         bad = PvfSpec.custom(
             lambda mu: LiftedMeasure.from_atoms([([99.0], [0.0], mu.mass())], dim=1),
@@ -173,12 +205,55 @@ class TestSources:
         with pytest.raises(ValueError):
             SourceSpec.proportional(-1.0, support_radius=1.0)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, rate):
+        with pytest.raises(ValueError):
+            SourceSpec.proportional(rate, support_radius=1.0)
+
+    def test_carrier_of_another_dim_rejected(self):
+        src = SourceSpec.proportional(0.5, support_radius=2.0, carrier=Ball((0.0, 0.0), 1.0))
+        with pytest.raises(DimensionMismatch):
+            src.evaluate(d([0.0]))
+        with pytest.raises(DimensionMismatch):
+            src.created(np.zeros((0, 1)), np.zeros(0, dtype=object), 1)
+
     def test_custom_leak_detected(self):
         src = SourceSpec.custom(
             lambda mu: d([9.0]), lipschitz_constant=0.0, support_radius=1.0
         )
         with pytest.raises(ValueError):
             src.evaluate(d([0.0]))
+
+
+class TestBallRows:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("center", ["zero", "offset"])
+    def test_contains_rows_matches_contains_near_the_bound(self, dim, center):
+        # points within +-8 ulps of radius + 1e-12 from the centre, where the
+        # numpy norm and math.dist can disagree, and points far from it
+        rng = np.random.default_rng(dim)
+        c = np.zeros(dim) if center == "zero" else rng.uniform(-3, 3, dim)
+        for radius in (0.75, 2.0, 1e3):
+            ball = Ball(tuple(c.tolist()), radius)
+            bound = radius + 1e-12
+            u = rng.standard_normal((5600, dim))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            r = bound + np.spacing(bound) * rng.integers(-8, 9, len(u))
+            r[:200] *= rng.uniform(0.0, 2.0, 200)
+            points = c + u * r[:, None]
+            want = [ball.contains(p) for p in points.tolist()]
+            assert ball.contains_rows(points).tolist() == want
+            assert 0 < sum(want) < len(want)
+
+    def test_contains_rows_edges(self):
+        ball = Ball((0.0, 0.0), 1.0)
+        assert ball.contains_rows(np.zeros((0, 2))).tolist() == []
+        points = np.array([[1e200, 0.0], [1e-200, 0.0], [math.nan, 0.0]])
+        assert ball.contains_rows(points).tolist() == [False, True, False]
+        huge = Ball((0.0, 0.0), 1e300)
+        assert huge.contains_rows(np.array([[1e200, 1e200]])).tolist() == [True]
+        with pytest.raises(DimensionMismatch):
+            ball.contains_rows(np.zeros((3, 1)))
 
 
 class TestProbes:

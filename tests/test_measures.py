@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from conftest import grid_weights, measures_1d
 from measureflow.errors import DimensionMismatch
-from measureflow.measures import DiscreteMeasure, LiftedMeasure, SignedDecomposition
+from measureflow.measures import (
+    DiscreteMeasure,
+    LiftedMeasure,
+    SignedDecomposition,
+    _ratios,
+    _support_radius,
+)
 
 
 class TestConstruction:
@@ -258,3 +264,72 @@ class TestSerialization:
     def test_lifted_roundtrip(self):
         v = LiftedMeasure.from_atoms([([0.0], [1.5], 0.5), ([1.0], [-0.5], 0.5)])
         assert LiftedMeasure.from_dict(v.to_dict()) == v
+
+
+class TestKernels:
+    """The array kernels against their scalar oracles, bit for bit."""
+
+    @staticmethod
+    def assert_ratios(nums, den):
+        got = _ratios(np.array(nums, dtype=object), den)
+        assert got.dtype == np.float64 and got.shape == (len(nums),)
+        assert [v.hex() for v in got.tolist()] == [(n / den).hex() for n in nums]
+
+    @pytest.mark.parametrize("k", [0, 1, 52, 53, 64, 100, 500, 1021, 1022, 1023, 1074, 1100])
+    def test_ratios_power_of_two_dens(self, k):
+        rng = np.random.default_rng(k)
+        nums = [int(rng.integers(1, 2**62)) * 2**int(b) + int(rng.integers(0, 2**40))
+                for b in rng.integers(0, 80, 200)]
+        den = 2**k
+        self.assert_ratios([0, 1, *nums, den, den - 1, den + 1], den)
+
+    @pytest.mark.parametrize("k", [0, 3, 60, 1000, 1074, 1100])
+    def test_ratios_half_way_ties(self, k):
+        # 2^53 + 1 and 2^53 + 3 sit half-way between floats: half to even
+        # rounds the first down and the second up
+        self.assert_ratios([2**53 + 1, 2**53 + 3, 2**54 + 2, 2**54 + 6, 3 * 2**70 + 2**17], 2**k)
+
+    def test_ratios_numerators_past_the_float_range(self):
+        # float(num) overflows, num / 2^k does not
+        self.assert_ratios([1, 2**1024 - 1, 2**1024, 2**1024 + 1], 2)
+        for k in (100, 1100):
+            self.assert_ratios([1, 2**1024 - 1, 2**1030 + 12345, 7 * 2**1100], 2**k)
+
+    def test_ratios_subnormal_results(self):
+        # (2.5 + 2^-60) 2^-1074 is 3 * 2^-1074 correctly rounded; scaling
+        # the rounded 2.5 * 2^60 by 2^-1134 would tie to 2 * 2^-1074
+        den = 2**1134
+        self.assert_ratios([2**61 + 2**59 + 1, 1, 2**60, 2**110 + 1, 2**112 - 1], den)
+        self.assert_ratios([1, 3, 2**52 - 1, 2**52 + 1], 2**1074)
+        self.assert_ratios([1, 2**1000], 2**2100)
+
+    def test_ratios_zero_and_empty(self):
+        self.assert_ratios([0, 0], 2**40)
+        self.assert_ratios([0, 0], 3)
+        self.assert_ratios([], 2**40)
+        self.assert_ratios([], 10)
+
+    @pytest.mark.parametrize("den", [3, 3 * 2**40, 3 * 2**1100, 10, 10**20, 10**400],
+                             ids=["3", "3*2^40", "3*2^1100", "10", "10^20", "10^400"])
+    def test_ratios_other_dens(self, den):
+        rng = np.random.default_rng(den % 1000)
+        top = den.bit_length() + 900  # quotients below 2^962 stay finite
+        nums = [int(rng.integers(1, 2**62)) * 2**int(b) for b in rng.integers(0, top, 100)]
+        self.assert_ratios([0, 1, den, *nums], den)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_support_radius_matches_fsum(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(50):
+            n = int(rng.integers(1, 40))
+            scale = 10.0 ** rng.uniform(-8, 8, size=(n, 1))
+            positions = rng.standard_normal((n, dim)) * scale
+            want = math.sqrt(max(math.fsum(c * c for c in row) for row in positions.tolist()))
+            assert _support_radius(positions).hex() == want.hex()
+        assert _support_radius(np.zeros((0, dim))) == 0.0
+
+    @pytest.mark.parametrize("row", [(1e154, 1e154), (1e200, 0.0), (1e154, 1e154, 0.0),
+                                     (1e200,), (0.0, 1e300, 0.0)])
+    def test_support_radius_overflow_is_inf(self, row):
+        positions = np.array([(0.0,) * len(row), row])
+        assert _support_radius(positions) == math.inf

@@ -138,6 +138,12 @@ CASES = {
         dim=2, n=6, N=8, steps=24, mass=6.0,
         pvf=PvfSpec.deterministic(lambda x: (-0.5 * x[1], 0.5 * x[0]), growth_constant=0.5),
         src=SourceSpec.proportional(0.5, 2.0, carrier=Ball((0.0, 0.0), 1.5))),
+    # dt = 1/6 puts a 3 into the shared denominator, so every emitted
+    # weight takes the division per atom
+    "drift_proportional_carrier_n6": dict(
+        dim=2, n=6, N=6, steps=18, mass=3.0,
+        pvf=PvfSpec.deterministic(lambda x: (0.25, -0.5 * x[0]), growth_constant=0.5),
+        src=SourceSpec.proportional(0.5, 1.8, carrier=Ball((0.4, -0.3), 1.1))),
     "drift_constant_source": dict(
         dim=2, n=5, N=6, steps=24, mass=2.0,
         pvf=PvfSpec.deterministic(lambda x: (0.3, -0.2), growth_constant=0.4,
