@@ -156,21 +156,22 @@ def _build_source(
             raise ConfigError("constant source needs a measure (inline or path)")
         sigma = _config_measure(measure, config_dir)
         radius = spec.get("R")
-        return SourceSpec.constant(sigma, None if radius is None else _number(radius, "R"))
+        try:
+            return SourceSpec.constant(sigma, None if radius is None else _number(radius, "R"))
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
     if kind == "proportional":
         rate = _number(spec.get("rate", 0.0), "rate")
         radius = _number(spec.get("R", 1.0), "R")
         carrier = spec.get("carrier")
-        ball = None
-        if carrier is not None:
-            ball = Ball(
+        try:
+            ball = None if carrier is None else Ball(
                 center=tuple(float(c) for c in carrier["center"]),
                 radius=float(carrier["radius"]),
             )
-        try:
             return SourceSpec.proportional(rate, radius, ball)
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
+        except (KeyError, TypeError, ValueError) as err:  # a carrier of the wrong shape too
+            raise ConfigError(f"bad proportional source ({type(err).__name__}: {err})") from None
     raise ConfigError(f"unknown source kind {kind!r}")
 
 
@@ -372,8 +373,8 @@ def _expected_defects(problem: ProblemSpec, traj: Trajectory, t_final: float) ->
     of the exact state mu_k: its defect is rate dt |mu_k|.  Otherwise the
     source's exact form is applied to the recorded state, whose weights w_i
     are rounded and miss the sub-floor atoms; the gap
-    rate dt (| |mu_k| - sum w_i | + 2^-51 sum w_i) covers both.  Constant
-    and custom sources read the same floats as the stepper: no gap."""
+    rate dt (| |mu_k| - sum w_i | + 2^-51 sum w_i) covers both.  A constant
+    source ignores the state: no gap.  (No config builds a custom source.)"""
     src, dt = problem.src, Fraction(1, traj.grid.N)
     rate = Fraction(src.rate)
     masses = traj.exact_masses[:-1]
@@ -386,10 +387,7 @@ def _expected_defects(problem: ProblemSpec, traj: Trajectory, t_final: float) ->
             return [(rate * dt * mass, Fraction(0)) for mass in masses]
     rows = []
     for state, mass in zip(traj.states, masses):
-        if src.kind == "custom":
-            nums, den = _dyadic(src.evaluate(state).weights())
-        else:
-            _, nums, den = src.created(state.positions_array(), *_dyadic(state.weights()))
+        _, nums, den = src.created(state.positions_array(), *_dyadic(state.weights()))
         recorded = sum(map(Fraction, state.weights()), Fraction(0))
         slack = rate * dt * (abs(mass - recorded) + recorded / 2**51)
         rows.append((dt * Fraction(sum(nums.tolist()), den), slack))

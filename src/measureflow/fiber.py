@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DimensionMismatch, MassMismatch, SolverError
 from .flat import generalized_wasserstein
 from .measures import LiftedMeasure
-from .wasserstein import MASS_TOL, wasserstein1
+from .wasserstein import MASS_TOL, TransportPlan, wasserstein1
 
 _HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
@@ -59,28 +59,12 @@ def _scipy(name: str):
 
 
 @dataclass(frozen=True)
-class FiberPlan:
+class FiberPlan(TransportPlan):
     """Coupling of lifted atoms: entries (index into V1 atoms, index into V2
-    atoms, flow), plus the induced base and fiber costs."""
+    atoms, flow); ``cost`` is the induced base cost sum flow |x_i - y_j| and
+    ``fiber_cost`` the velocity cost sum flow |v_i - w_j|."""
 
-    entries: tuple[tuple[int, int, float], ...]
-    base_cost: float
     fiber_cost: float
-
-    def row_sums(self, n1: int) -> list[float]:
-        sums = [[] for _ in range(n1)]
-        for i, _, f in self.entries:
-            sums[i].append(f)
-        return [math.fsum(s) for s in sums]
-
-    def col_sums(self, n2: int) -> list[float]:
-        sums = [[] for _ in range(n2)]
-        for _, j, f in self.entries:
-            sums[j].append(f)
-        return [math.fsum(s) for s in sums]
-
-    def total_flow(self) -> float:
-        return math.fsum(f for _, _, f in self.entries)
 
 
 def _pair_costs(V1: LiftedMeasure, V2: LiftedMeasure):
@@ -111,7 +95,7 @@ def _extract_plan(x: np.ndarray, n1: int, n2: int, base_cost, fiber_cost) -> Fib
             entries.append((i, j, float(f)))
     bc = math.fsum(base_cost[i, j] * f for i, j, f in entries)
     fc = math.fsum(fiber_cost[i, j] * f for i, j, f in entries)
-    return FiberPlan(entries=tuple(entries), base_cost=bc, fiber_cost=fc)
+    return FiberPlan(entries=tuple(entries), cost=bc, fiber_cost=fc)
 
 
 def fiber_w_solution(
@@ -129,7 +113,7 @@ def fiber_w_solution(
     if abs(mass1 - mass2) > MASS_TOL * max(1.0, mass1, mass2):
         raise MassMismatch(f"masses differ: {mass1} vs {mass2}")
     if V1.is_empty and V2.is_empty:
-        return 0.0, FiberPlan(entries=(), base_cost=0.0, fiber_cost=0.0)
+        return 0.0, FiberPlan(entries=(), cost=0.0, fiber_cost=0.0)
 
     wstar, _ = wasserstein1(V1.base_projection(), V2.base_projection())
     if eps_opt is None:
@@ -180,7 +164,7 @@ def fiber_wg_solution(
     if V1.dim != V2.dim:
         raise DimensionMismatch(f"dim {V1.dim} vs {V2.dim}")
     if V1.is_empty or V2.is_empty:
-        return 0.0, FiberPlan(entries=(), base_cost=0.0, fiber_cost=0.0)
+        return 0.0, FiberPlan(entries=(), cost=0.0, fiber_cost=0.0)
 
     gstar = generalized_wasserstein(V1.base_projection(), V2.base_projection()).distance
     if eps_opt is None:

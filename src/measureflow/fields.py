@@ -11,10 +11,11 @@ s[mu] supported in a fixed ball.  Built-in kinds:
   midpoint velocities;
 * constant and proportional creation sources.
 
-Each built-in kind has one exact form on rows with weights nums / den:
+Every kind has one exact form on rows with weights nums / den:
 ``PvfSpec.lift`` and ``SourceSpec.created``.  The stepper calls them on its
 exact state; ``evaluate`` calls them on a float measure's weights, taken
-exactly, and rounds the result.  ``custom`` kinds are float evaluators only.
+exactly, and rounds the result.  ``custom`` kinds call a user evaluator on
+every row, weights rounded, and take its float weights exactly.
 
 Sources are restricted to nonnegative measures (pure creation); sinks are
 out of scope.
@@ -30,7 +31,13 @@ import numpy as np
 
 from .errors import DimensionMismatch, ProfileRangeError
 from .flat import generalized_wasserstein
-from .measures import DiscreteMeasure, LiftedMeasure, _dyadic, _ratios
+from .measures import WEIGHT_FLOOR, DiscreteMeasure, LiftedMeasure, _dyadic, _ratios
+
+
+def _rows_measure(positions: np.ndarray, nums: np.ndarray, den: int) -> DiscreteMeasure:
+    """Every row as an atom weighing nums / den rounded, sub-floor ones too."""
+    atoms = tuple(zip(map(tuple, positions.tolist()), _ratios(nums, den).tolist()))
+    return DiscreteMeasure(atoms=atoms, dim=positions.shape[1])
 
 
 @dataclass(frozen=True)
@@ -144,6 +151,9 @@ class PvfSpec:
         growth_constant: float,
         velocity_bound: float | None = None,
     ) -> "PvfSpec":
+        """V[mu] = evaluator(mu), called on every exact atom (sub-floor ones
+        included) with its weight rounded.  The bases must project back onto
+        the atoms at or above WEIGHT_FLOOR, to 1e-12 relative in weight."""
         return cls(
             kind="custom",
             growth_constant=float(growth_constant),
@@ -180,21 +190,24 @@ class PvfSpec:
             cumulative = _ratios(abscissae, 2 * q * den)
             velocities = self.phi.evaluate(cumulative).reshape(-1, 1)
             return np.repeat(np.arange(len(nums)), q), velocities, np.repeat(nums, q), q * den
+        if self.kind == "custom":
+            mu = _rows_measure(positions, nums, den)
+            lifted = self.evaluator(mu)
+            got = dict(lifted.base_projection().atoms)
+            want = {p: w for p, w in mu.atoms if w >= WEIGHT_FLOOR}
+            row = {p: i for i, (p, _) in enumerate(mu.atoms)}
+            rows = [row.get(base) for base, _, _ in lifted.atoms]
+            if None in rows or set(got) != set(want) or any(
+                abs(got[p] - want[p]) > 1e-12 * (1 + want[p]) for p in want
+            ):
+                raise ValueError("custom PVF violates the projection condition")
+            velocities = np.array([v for _, v, _ in lifted.atoms], dtype=float)
+            return (np.array(rows, dtype=np.int64), velocities.reshape(-1, positions.shape[1]),
+                    *_dyadic(w for _, _, w in lifted.atoms))
         raise ValueError(f"PVF kind {self.kind!r} has no exact lift")
 
     def evaluate(self, mu: DiscreteMeasure) -> LiftedMeasure:
-        """V[mu]; the base projection equals mu exactly for built-in kinds."""
-        if self.kind == "custom":
-            lifted = self.evaluator(mu)
-            base = lifted.base_projection()
-            if base.atoms != mu.atoms:
-                got = {pos: w for pos, w in base.atoms}
-                want = {pos: w for pos, w in mu.atoms}
-                if set(got) != set(want) or any(
-                    abs(got[p] - want[p]) > 1e-12 * (1 + want[p]) for p in want
-                ):
-                    raise ValueError("custom PVF violates the projection condition")
-            return lifted
+        """V[mu]: ``lift`` of mu's weights taken exactly, rounded back."""
         positions = mu.positions_array()
         rows, velocities, nums, den = self.lift(positions, *_dyadic(mu.weights()))
         return LiftedMeasure.from_atoms(
@@ -224,6 +237,10 @@ class Ball:
     center: tuple[float, ...]
     radius: float
 
+    def __post_init__(self):
+        if not self.radius >= 0:  # NaN too; inf holds everything
+            raise ValueError(f"ball radius must be nonnegative, got {self.radius}")
+
     def contains(self, point: Sequence[float]) -> bool:
         return math.dist(self.center, tuple(point)) <= self.radius + 1e-12
 
@@ -234,15 +251,15 @@ class Ball:
                 f"ball of dim {len(self.center)} tested on points of dim {points.shape[1]}"
             )
         bound = self.radius + 1e-12
-        with np.errstate(over="ignore"):
-            norms = np.sqrt(((points - self.center) ** 2).sum(axis=1))
         # this norm (dim rounded squares, their sum and one sqrt) and
         # math.dist's (accurate to about one ulp) differ by a few ulps in the
         # dims the stepper runs, far inside 1e-14 relative (about 45 ulps);
         # rows that close to the bound, and inf or NaN norms, take the
         # scalar test
+        with np.errstate(over="ignore", invalid="ignore"):  # inf norms or radius
+            norms = np.sqrt(((points - self.center) ** 2).sum(axis=1))
+            near = ~(np.abs(norms - bound) > 1e-14 * abs(bound)) | np.isinf(norms)
         inside = norms <= bound
-        near = ~(np.abs(norms - bound) > 1e-14 * abs(bound)) | np.isinf(norms)
         if near.any():
             inside[near] = [self.contains(x) for x in points[near].tolist()]
         return inside
@@ -263,6 +280,10 @@ class SourceSpec:
     rate: float = 0.0
     carrier: Ball | None = None
     evaluator: Callable[[DiscreteMeasure], DiscreteMeasure] | None = None
+
+    def __post_init__(self):
+        if not self.support_radius >= 0:
+            raise ValueError(f"source radius R must be nonnegative, got {self.support_radius}")
 
     @classmethod
     def constant(
@@ -313,6 +334,8 @@ class SourceSpec:
         lipschitz_constant: float,
         support_radius: float,
     ) -> "SourceSpec":
+        """s[mu] = evaluator(mu), called on every exact atom (sub-floor ones
+        included) with its weight rounded; the result must stay in B(0, R)."""
         return cls(
             kind="custom",
             support_radius=float(support_radius),
@@ -339,15 +362,18 @@ class SourceSpec:
             if self.carrier is not None:
                 inside &= self.carrier.contains_rows(positions)
             return positions[inside], nums[inside] * p, den * q
+        if self.kind == "custom":
+            sigma = self.evaluator(_rows_measure(positions, nums, den))
+            if sigma.support_radius() > self.support_radius + 1e-9:
+                raise ValueError("custom source leaked outside its declared support ball")
+            if sigma.dim != dim:
+                raise DimensionMismatch(f"source dim {sigma.dim} vs state dim {dim}")
+            return (sigma.positions_array(), *_dyadic(sigma.weights()))
         raise ValueError(f"source kind {self.kind!r} has no exact form")
 
     def evaluate(self, mu: DiscreteMeasure) -> DiscreteMeasure:
-        """s[mu]; built-in kinds round ``created`` into a canonical measure."""
-        if self.kind == "custom":
-            out = self.evaluator(mu)
-            if out.support_radius() > self.support_radius + 1e-9:
-                raise ValueError("custom source leaked outside its declared support ball")
-            return out
+        """s[mu]: ``created`` from mu's weights taken exactly, rounded into a
+        canonical measure."""
         points, nums, den = self.created(mu.positions_array(), *_dyadic(mu.weights()))
         return DiscreteMeasure.from_atoms(
             zip(points.tolist(), _ratios(nums, den).tolist()), dim=mu.dim

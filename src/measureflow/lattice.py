@@ -8,10 +8,11 @@ One step, in order: lift the state through the PVF, quantize the lift in
 space and velocity, move every quantized atom by dt * velocity, then add
 dt times the space-quantized source.  No operator fusion.
 
-Fields.  The built-in PVFs and sources act on the exact state through
-their array forms (``PvfSpec.lift``, ``SourceSpec.created``) on the cell
-anchors and exact weights.  Only ``custom`` kinds take a float path: they
-are evaluated on the emitted DiscreteMeasure and their float weights are
+Fields.  Every PVF and source, ``custom`` kinds included, acts on the
+exact state through its array form (``PvfSpec.lift``,
+``SourceSpec.created``) on the cell anchors and exact weights: one call
+per field and step.  A custom evaluator gets every atom of the state as a
+DiscreteMeasure with each weight rounded once, and its float weights are
 taken exactly.
 
 State.  The stepper works on integer cell indices with exact weights: an
@@ -46,9 +47,10 @@ once, as an already-canonical DiscreteMeasure.
 
 Sub-floor atoms.  An exact atom lighter than ``WEIGHT_FLOOR`` stays in the
 state and keeps moving (its velocity is evaluated, it feeds the diffusion
-quadrature and a proportional source), but the recorded DiscreteMeasure
-leaves it out, as the canonical form does; ``Trajectory.exact_masses``
-counts it.  Custom kinds see only the recorded atoms.
+quadrature, a proportional source and the custom evaluators), but the
+recorded DiscreteMeasure leaves it out, as the canonical form does;
+``Trajectory.exact_masses`` counts it.  A custom lift that drops it (as
+``LiftedMeasure.from_atoms`` does) loses its mass.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, ProfileRangeError, SupportOverflow
+from .errors import ConfigError, ProfileRangeError, SupportOverflow
 from .fields import PvfSpec, SourceSpec
 from .measures import (
     POSITION_DECIMALS,
@@ -337,41 +339,19 @@ def _emit(
 
 
 def _lift(
-    grid: LatticeGrid,
-    state: _State,
-    positions: np.ndarray,
-    snapshot: DiscreteMeasure,
-    pvf: PvfSpec,
+    grid: LatticeGrid, state: _State, positions: np.ndarray, pvf: PvfSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """av_discretize(V[state]) with exact weights: (space cells, velocity
-    cells, nums, den).  ``positions`` are the anchors of ``state.cells`` and
-    ``snapshot`` the emitted measure of ``state``."""
-    if pvf.kind == "custom":  # a float lift of the snapshot, converted exactly
-        lifted = pvf.evaluate(snapshot)
-        bases = np.array([b for b, _, _ in lifted.atoms], dtype=float).reshape(-1, grid.dim)
-        velocities = np.array([v for _, v, _ in lifted.atoms], dtype=float).reshape(-1, grid.dim)
-        nums, den = _dyadic(w for _, _, w in lifted.atoms)
-        return _space_cells(grid, bases), _velocity_cells(grid, velocities), nums, den
+    cells, nums, den).  ``positions`` are the anchors of ``state.cells``."""
     rows, velocities, nums, den = pvf.lift(positions, state.nums, state.den)
     return state.cells[rows], _velocity_cells(grid, velocities), nums, den
 
 
 def _source(
-    grid: LatticeGrid,
-    state: _State,
-    positions: np.ndarray,
-    snapshot: DiscreteMeasure,
-    src: SourceSpec,
-    factor: Fraction,
+    grid: LatticeGrid, state: _State, positions: np.ndarray, src: SourceSpec, factor: Fraction
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """factor * ax_discretize(s[state]) with exact weights."""
-    if src.kind == "custom":  # a float source of the snapshot, converted exactly
-        sigma = src.evaluate(snapshot)
-        if sigma.dim != grid.dim:
-            raise DimensionMismatch(f"source dim {sigma.dim} vs state dim {grid.dim}")
-        points, (nums, den) = sigma.positions_array(), _dyadic(sigma.weights())
-    else:
-        points, nums, den = src.created(positions, state.nums, state.den)
+    points, nums, den = src.created(positions, state.nums, state.den)
     return (
         _space_cells(grid, points),
         nums * factor.numerator,
@@ -379,22 +359,16 @@ def _source(
     )
 
 
-def _step(
-    grid: LatticeGrid,
-    state: _State,
-    positions: np.ndarray,
-    snapshot: DiscreteMeasure,
-    pvf: PvfSpec | None,
-    src: SourceSpec | None,
-) -> _State:
+def _step(grid: LatticeGrid, state: _State, positions: np.ndarray,
+          pvf: PvfSpec | None, src: SourceSpec | None) -> _State:
     if pvf is None:
         parts = [state]
     else:
-        cells, vel_cells, nums, den = _lift(grid, state, positions, snapshot, pvf)
+        cells, vel_cells, nums, den = _lift(grid, state, positions, pvf)
         # moved anchor = (i + j)/N^2 = x_i + dt * v_j, still on the grid
         parts = [(cells + vel_cells, nums, den)]
     if src is not None:
-        parts.append(_source(grid, state, positions, snapshot, src, Fraction(1, grid.N)))
+        parts.append(_source(grid, state, positions, src, Fraction(1, grid.N)))
     return _merge(parts)
 
 
@@ -403,8 +377,8 @@ def _step(
 
 def _start(grid: LatticeGrid, mu: DiscreteMeasure, pvf: PvfSpec | None,
            src: SourceSpec | None, caller: str):
-    """Checks on the grid-aligned ``mu``, then its exact state, anchor
-    positions and emitted measure."""
+    """Checks on the grid-aligned ``mu``, then its exact state and anchor
+    positions."""
     if mu.dim != grid.dim:
         raise ValueError(f"measure dim {mu.dim} != grid dim {grid.dim}")
     _check_level(grid, predicted_reach(mu, pvf, src, grid.dt))
@@ -413,7 +387,7 @@ def _start(grid: LatticeGrid, mu: DiscreteMeasure, pvf: PvfSpec | None,
             f"{caller} requires a grid-aligned measure; apply ax_discretize first"
         )
     state = _ingest(grid, mu)
-    return (state, *_emit(grid, state, 0)[:2])
+    return state, _anchors(state.cells, grid.N * grid.N)
 
 
 def las_step(
@@ -428,8 +402,8 @@ def las_step(
     step).  With ``pvf=None`` this reduces to the pure source scheme; with
     ``src=None`` to pure transport.
     """
-    state, positions, snapshot = _start(grid, mu, pvf, src, "las_step")
-    new = _step(grid, state, positions, snapshot, pvf, src)
+    state, positions = _start(grid, mu, pvf, src, "las_step")
+    new = _step(grid, state, positions, pvf, src)
     return _emit(grid, new, 1)[1]
 
 
@@ -448,16 +422,16 @@ def interpolate(
     """
     if tau < -1e-12 or tau > grid.dt + 1e-12:
         raise ValueError(f"tau={tau} outside [0, {grid.dt}]")
-    state, positions, snapshot = _start(grid, mu, pvf, src, "interpolate")
+    state, positions = _start(grid, mu, pvf, src, "interpolate")
     n2 = grid.N * grid.N
     if pvf is None:
         parts = [(positions, state.nums, state.den)]
     else:
-        cells, vel_cells, nums, den = _lift(grid, state, positions, snapshot, pvf)
+        cells, vel_cells, nums, den = _lift(grid, state, positions, pvf)
         velocities = _anchors(vel_cells, grid.N)
         parts = [(_anchors(cells, n2) + tau * velocities, nums, den)]
     if src is not None:
-        cells, nums, den = _source(grid, state, positions, snapshot, src, Fraction(tau))
+        cells, nums, den = _source(grid, state, positions, src, Fraction(tau))
         parts.append((_anchors(cells, n2), nums, den))
     den = math.lcm(*(d for _, _, d in parts))
     merged: dict[tuple[float, ...], int] = {}
@@ -606,7 +580,7 @@ def run_semigroup(
     record(0)
     for k in range(1, steps + 1):
         try:
-            state = _step(grid, state, positions, snapshot, pvf, src)
+            state = _step(grid, state, positions, pvf, src)
         except SupportOverflow as err:
             raise SupportOverflow(str(err), step_index=k) from None
         except ProfileRangeError as err:

@@ -168,6 +168,49 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: ConfigError: ")
 
+    @pytest.mark.parametrize("source", [
+        # each of these exited 1 with a traceback
+        {"kind": "proportional", "rate": 0.5, "R": 2.0, "carrier": {"radius": 1.0}},
+        {"kind": "proportional", "rate": 0.5, "R": 2.0,
+         "carrier": {"center": ["left"], "radius": 1.0}},
+        {"kind": "proportional", "rate": 0.5, "R": 2.0,
+         "carrier": {"center": [0.0], "radius": "wide"}},
+        {"kind": "proportional", "rate": 0.5, "R": 2.0, "carrier": [0, 1]},
+        {"kind": "constant", "measure": {"dim": 1, "atoms": [[2.0, 1.0]]}, "R": 0.5},
+        # each of these exited 0 and created no mass
+        {"kind": "proportional", "rate": 0.5, "R": math.nan},
+        {"kind": "proportional", "rate": 0.5, "R": -1.0},
+        {"kind": "proportional", "rate": 0.5, "R": 2.0,
+         "carrier": {"center": [0.0], "radius": math.nan}},
+        {"kind": "proportional", "rate": 0.5, "R": 2.0,
+         "carrier": {"center": [0.0], "radius": -1.0}},
+    ], ids=["carrier_no_center", "carrier_text_center", "carrier_text_radius",
+            "carrier_not_object", "constant_outside_R", "nan_R", "negative_R",
+            "nan_carrier_radius", "negative_carrier_radius"])
+    def test_bad_source_exits_2(self, tmp_path, capsys, source):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "problem": "custom", "N": 4, "T": 1.0,
+            "initial_measure": {"dim": 1, "atoms": [[0.0, 1.0]]}, "source": source,
+        }))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_infinite_carrier_radius_allowed(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "problem": "custom", "N": 4, "T": 1.0,
+            "initial_measure": {"dim": 1, "atoms": [[0.0, 1.0]]},
+            "source": {"kind": "proportional", "rate": 0.5, "R": 2.0,
+                       "carrier": {"center": [0.0], "radius": math.inf}},
+        }))
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--no-timestamp"]) == 0
+        summary = json.loads((tmp_path / "o.csv.summary.json").read_text())
+        assert summary["final_mass"] == 1.125**4
+
     def test_carrier_of_another_dim_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

@@ -94,7 +94,7 @@ class TestFiberW:
         assert value == pytest.approx(plan.fiber_cost, abs=1e-9)
         # base marginal is (near) optimal for the base problem
         wstar, _ = wasserstein1(V1.base_projection(), V2.base_projection())
-        assert plan.base_cost <= wstar + 1e-6
+        assert plan.cost <= wstar + 1e-6
 
     def test_eps_monotone_and_cauchy(self):
         V1 = L([([0.0], [1.0], 0.5), ([1.0], [3.0], 0.5)])
@@ -156,7 +156,7 @@ class TestFiberWg:
                 V1.base_projection(), V2.base_projection()
             ).distance
             flow = plan.total_flow()
-            achieved = (V1.mass() - flow) + (V2.mass() - flow) + plan.base_cost
+            achieved = (V1.mass() - flow) + (V2.mass() - flow) + plan.cost
             assert achieved <= gstar + 1e-6
 
 

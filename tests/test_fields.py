@@ -14,7 +14,7 @@ from measureflow.fields import (
     probe_s1_lipschitz,
     probe_v2_lipschitz,
 )
-from measureflow.measures import DiscreteMeasure, LiftedMeasure
+from measureflow.measures import WEIGHT_FLOOR, DiscreteMeasure, LiftedMeasure
 from measureflow.wasserstein import wasserstein1_1d
 
 d = DiscreteMeasure.dirac
@@ -171,6 +171,50 @@ class TestDiffusionPvf:
             bad.evaluate(d([0.0]))
 
 
+# exact rows: a unit atom at 0 and a sub-floor one at 0.5, weights over 2^60
+SUB_FLOOR_ROWS = (np.array([[0.0], [0.5]]), np.array([2**60, 1], dtype=object), 2**60)
+
+
+class TestCustomPvf:
+    @staticmethod
+    def drift(offset=0.0, keep_sub_floor=False):
+        def lift(mu):
+            atoms = tuple(((x + offset * (w >= WEIGHT_FLOOR),), (1.0,), w) for (x,), w in mu.atoms)
+            if keep_sub_floor:
+                return LiftedMeasure(atoms=atoms, dim=1)
+            return LiftedMeasure.from_atoms(atoms, dim=1)
+        return PvfSpec.custom(lift, growth_constant=1.0)
+
+    def test_custom_lift_sees_every_row(self):
+        rows, velocities, nums, den = self.drift(keep_sub_floor=True).lift(*SUB_FLOOR_ROWS)
+        assert rows.tolist() == [0, 1]
+        assert velocities.tolist() == [[1.0], [1.0]]
+        assert [Fraction(int(n), den) for n in nums] == [1, Fraction(1, 2**60)]
+
+    def test_custom_lift_may_drop_a_sub_floor_row(self):
+        rows, velocities, nums, den = self.drift().lift(*SUB_FLOOR_ROWS)
+        assert rows.tolist() == [0] and velocities.tolist() == [[1.0]]
+        assert nums.tolist() == [1] and den == 1
+
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_custom_lift_with_a_moved_base_rejected(self, keep):
+        # an above-floor base moved, with or without the sub-floor piece
+        with pytest.raises(ValueError, match="projection condition"):
+            self.drift(0.25, keep).lift(*SUB_FLOOR_ROWS)
+
+    def test_custom_lift_off_the_rows_rejected(self):
+        # a sub-floor piece at a base that is no row
+        def lift(mu):
+            return LiftedMeasure(atoms=(((0.0,), (1.0,), 1.0), ((0.75,), (1.0,), 1e-18)), dim=1)
+        with pytest.raises(ValueError, match="projection condition"):
+            PvfSpec.custom(lift, growth_constant=1.0).lift(*SUB_FLOOR_ROWS)
+
+    def test_custom_evaluate_returns_the_lift(self, rng):
+        mu = random_measure(rng, 5)
+        pvf = self.drift()
+        assert pvf.evaluate(mu) == pvf.evaluator(mu)
+
+
 class TestSources:
     def test_constant_ignores_state(self, rng):
         src = SourceSpec.constant(d([1.0]))
@@ -216,6 +260,36 @@ class TestSources:
             src.evaluate(d([0.0]))
         with pytest.raises(DimensionMismatch):
             src.created(np.zeros((0, 1)), np.zeros(0, dtype=object), 1)
+
+    def test_custom_source_sees_every_row(self):
+        seen = []
+        src = SourceSpec.custom(lambda mu: seen.append(mu) or mu,
+                                lipschitz_constant=1.0, support_radius=1.0)
+        points, nums, den = src.created(*SUB_FLOOR_ROWS)
+        assert seen[0].atoms == (((0.0,), 1.0), ((0.5,), 2.0**-60))
+        assert points.tolist() == [[0.0], [0.5]]
+        assert [Fraction(int(n), den) for n in nums] == [1, Fraction(1, 2**60)]
+
+    def test_custom_source_of_another_dim_rejected(self):
+        src = SourceSpec.custom(lambda mu: d([0.0, 0.0]), lipschitz_constant=0.0,
+                                support_radius=1.0)
+        with pytest.raises(DimensionMismatch):
+            src.evaluate(d([0.0]))
+
+    @pytest.mark.parametrize("radius", [math.nan, -1.0])
+    def test_bad_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            Ball((0.0,), radius)
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            SourceSpec.proportional(0.5, radius)
+        with pytest.raises(ValueError):
+            SourceSpec.constant(d([0.0]), radius)
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            SourceSpec.custom(lambda mu: mu, lipschitz_constant=1.0, support_radius=radius)
+
+    def test_infinite_radius_allowed(self):
+        src = SourceSpec.proportional(0.5, math.inf, carrier=Ball((0.0,), math.inf))
+        assert src.evaluate(d([1e300])).atoms == (((1e300,), 0.5),)
 
     def test_custom_leak_detected(self):
         src = SourceSpec.custom(

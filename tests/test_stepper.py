@@ -41,6 +41,15 @@ def _emit(grid, state, dim):
     )
 
 
+def _exact(grid, state, dim):
+    """Every exact atom, sub-floor ones included, each weight rounded once:
+    the measure a custom evaluator is handed."""
+    return DiscreteMeasure(
+        atoms=tuple((grid.space_anchor(idx), float(w)) for idx, w in sorted(state.items())),
+        dim=dim,
+    )
+
+
 def _lift(grid, state, pvf, dim):
     lift = {}
 
@@ -60,7 +69,7 @@ def _lift(grid, state, pvf, dim):
                 put(idx, grid.velocity_index((_scalar_phi(pvf.phi, float(s)),)), w / q)
             cumulative += w
     else:
-        for base, vel, w in pvf.evaluate(_emit(grid, state, dim)).atoms:
+        for base, vel, w in pvf.evaluator(_exact(grid, state, dim)).atoms:
             put(grid.space_index(base), grid.velocity_index(vel), Fraction(w))
     return lift
 
@@ -79,7 +88,7 @@ def _created(grid, state, src, dim):
         return [(grid.space_index(pos), Fraction(w)) for pos, w in src.measure.atoms]
     return [
         (grid.space_index(pos), Fraction(w))
-        for pos, w in src.evaluate(_emit(grid, state, dim)).atoms
+        for pos, w in src.evaluator(_exact(grid, state, dim)).atoms
     ]
 
 
@@ -228,6 +237,59 @@ def test_sub_floor_atom_in_ball_creates_mass():
     assert traj.exact_masses[2] - traj.exact_masses[1] - tiny == tiny * tiny
     assert [state.atoms for state in traj.states] == [
         (((0.0,), 1.0),), (((0.125,), 1.0),), (((0.25,), 1.0),)]
+
+
+def test_custom_source_sees_sub_floor_atoms():
+    # every step the source leaves dt 2^-48 = 2^-51 at 0, below the weight
+    # floor, and the unit atom moves on: the exact state gains one sub-floor
+    # atom a step, and the custom source is handed every one of them
+    seen = []
+
+    def trail(mu):
+        seen.append(len(mu))
+        return d([0.0], 2.0**-48)
+
+    pvf = PvfSpec.deterministic(lambda x: (1.0,), growth_constant=1.0, velocity_bound=1.0)
+    src = SourceSpec.custom(trail, lipschitz_constant=0.0, support_radius=1.0)
+    grid = LatticeGrid(N=8, dim=1)
+    traj = run_semigroup(grid, d([0.0]), pvf, src, 4 / 8)
+    assert seen == [1, 2, 3, 4]
+    assert [len(state) for state in traj.states] == [1] * 5
+    seen.clear()
+    atoms, masses, _ = reference_run(grid, d([0.0]), pvf, src, 4)
+    assert seen == [1, 2, 3, 4]
+    assert [state.atoms for state in traj.states] == atoms
+    assert list(traj.exact_masses) == masses
+    assert masses[-1] == 1 + 4 * Fraction(2) ** -51
+
+
+def _unit_drift(offset=0.0):
+    """A custom PVF moving every atom right at unit speed, built with
+    from_atoms, which drops sub-floor pieces; ``offset`` moves the base of
+    every atom at or above the weight floor."""
+
+    def lift(mu):
+        return LiftedMeasure.from_atoms(
+            [((x + offset * (w >= WEIGHT_FLOOR),), (1.0,), w) for (x,), w in mu.atoms], dim=1
+        )
+
+    return PvfSpec.custom(lift, growth_constant=1.0, velocity_bound=1.0)
+
+
+def test_custom_lift_drops_sub_floor_atoms():
+    # the constant source leaves 2^-51 at 0 every step; the next lift drops
+    # it, so the exact mass stays 1 + 2^-51, and the projection check still
+    # holds the above-floor atom to its place
+    src = SourceSpec.constant(d([0.0], 2.0**-48))
+    grid = LatticeGrid(N=8, dim=1)
+    traj = run_semigroup(grid, d([0.0]), _unit_drift(), src, 4 / 8)
+    assert list(traj.exact_masses) == [1] + [1 + Fraction(2) ** -51] * 4
+    assert [state.atoms for state in traj.states] == [(((k / 8,), 1.0),) for k in range(5)]
+    atoms, masses, _ = reference_run(grid, d([0.0]), _unit_drift(), src, 4)
+    assert [state.atoms for state in traj.states] == atoms
+    assert list(traj.exact_masses) == masses
+    with pytest.raises(ValueError, match="projection condition"):
+        run_semigroup(grid, d([0.0]), _unit_drift(0.125), src, 4 / 8)
 
 
 # -- golden digests: preset trajectories recorded from the Fraction stepper --
