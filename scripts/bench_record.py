@@ -12,10 +12,13 @@ neither side).  It also keeps the environment and the failed-op counts.
 Without ``--parent`` (a baseline) the one side is written as ``runs``.
 
 With a parent, each end-to-end metric gets a verdict, which is also printed:
-``claim_met`` when the change is better in at least 9 of 10 pairs and its
-median beats the parent's by more than the parent's q3 - q1, and
-``no_regression`` when the change's median is within the metric's relative
-``bound`` in ``BENCHMARK.json`` of the parent's.
+``claim_met`` when at least 10 pairs ran, the change is better in at least
+9 of 10 of them and its median beats the parent's by more than the parent's
+q3 - q1; ``no_regression`` is "yes" when the change's median is within the
+metric's relative ``bound`` in ``BENCHMARK.json`` of the parent's, "no" when
+it is not, and "unresolved" when the parent's q3 - q1 is wider than the
+bound, unless every change run beats every parent run.  Runs whose
+``--seconds`` differ from ``BENCHMARK.json``'s ``run_seconds`` are flagged.
 """
 
 from __future__ import annotations
@@ -28,10 +31,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _benchmark() -> dict:
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
 def _metrics() -> dict[str, dict]:
     """BENCHMARK.json's metric entries by name (``better``, and ``bound`` for
     the end-to-end ones)."""
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    bench = _benchmark()
     return {m["name"]: m for m in bench["end_to_end"] + bench["per_layer"]}
 
 
@@ -65,6 +72,7 @@ def _side(records: dict[tuple, dict], group: tuple) -> dict:
                          "by_seed": dict(zip((key[2] for key in keys), values))}
     return {
         "seeds": [key[2] for key in keys],
+        "seconds": sorted({record["args"]["seconds"] for record in chosen}),
         "attempted": sum(record["attempted"] for record in chosen),
         "failed": sum(record["failed"] for record in chosen),
         "env": {k: v for k, v in chosen[0]["env"].items() if k != "loadavg"},
@@ -89,16 +97,26 @@ def _wins(parent: dict, change: dict, metrics: dict[str, dict]) -> dict:
     return wins
 
 
+def _every_run_better(parent: dict, change: dict, sign: int) -> bool:
+    return max(sign * v for v in change["by_seed"].values()) < min(
+        sign * v for v in parent["by_seed"].values())
+
+
 def _verdict(parent: dict, change: dict, wins: dict, metric: dict) -> dict:
     """The claim rule and the no-regression rule on one end-to-end metric."""
     sign = _sign(metric)
     gain = sign * (parent["median"] - change["median"])
     parent_iqr = parent["q3"] - parent["q1"]
     limit = parent["median"] * (1 + sign * metric["bound"])
+    if parent_iqr > abs(parent["median"]) * metric["bound"] and not _every_run_better(
+            parent, change, sign):
+        no_regression = "unresolved"
+    else:
+        no_regression = "yes" if sign * (change["median"] - limit) <= 0 else "no"
     return {
-        "claim_met": bool(wins["pairs"]) and 10 * wins["change_better"] >= 9 * wins["pairs"]
+        "claim_met": wins["pairs"] >= 10 and 10 * wins["change_better"] >= 9 * wins["pairs"]
         and gain > parent_iqr,
-        "no_regression": sign * (change["median"] - limit) <= 0,
+        "no_regression": no_regression,
         "gain": gain, "parent_iqr": parent_iqr, "limit": limit,
     }
 
@@ -108,6 +126,7 @@ def record(runs: Path, parent_runs: Path | None) -> dict:
     change = _load(runs)
     parent = _load(parent_runs) if parent_runs else {}
     metrics = _metrics()
+    run_seconds = _benchmark()["run_seconds"]
     workloads = {}
     for group in sorted({key[:2] for key in change}):
         entry = {"change" if parent else "runs": _side(change, group)}
@@ -119,8 +138,17 @@ def record(runs: Path, parent_runs: Path | None) -> dict:
                 for name, new in entry["change"]["metrics"].items()
                 if "bound" in metrics.get(name, {}) and name in old["metrics"]
             }
+        seconds = sorted({s for side in ("runs", "change", "parent") if side in entry
+                          for s in entry[side]["seconds"]})
+        if seconds != [run_seconds]:
+            entry["seconds_flag"] = (f"runs of {', '.join(map(str, seconds))} s, not "
+                                     f"BENCHMARK.json's run_seconds {run_seconds} s")
         workloads[f"{group[0]}/trace{group[1]}"] = entry
     return workloads
+
+
+REGRESSION_WORDS = {"yes": "no regression", "no": "REGRESSION",
+                    "unresolved": "UNRESOLVED (parent spread wider than the bound)"}
 
 
 def verdict_lines(workloads: dict) -> list[str]:
@@ -132,10 +160,12 @@ def verdict_lines(workloads: dict) -> list[str]:
                 f"{key} {name}: claim {'met' if verdict['claim_met'] else 'not met'} "
                 f"({wins['change_better']}/{wins['pairs']} pairs better, median gain "
                 f"{verdict['gain']:.6g} vs parent IQR {verdict['parent_iqr']:.6g}); "
-                f"{'no regression' if verdict['no_regression'] else 'REGRESSION'} "
+                f"{REGRESSION_WORDS[verdict['no_regression']]} "
                 f"(change median {entry['change']['metrics'][name]['median']:.6g}, "
                 f"limit {verdict['limit']:.6g})"
             )
+        if "seconds_flag" in entry:
+            lines.append(f"{key}: FLAG {entry['seconds_flag']}")
     return lines
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -64,20 +64,6 @@ class TestFunction:
 
     def gradient(self, x) -> np.ndarray:
         return np.asarray(self.grad(np.asarray(x, dtype=float)), dtype=float)
-
-    def check_gradient(self, points: Iterable[Sequence[float]], tol: float = 1e-5) -> bool:
-        """Gradient consistent with central finite differences at the points."""
-        for p in points:
-            x = np.asarray(p, dtype=float)
-            g = self.gradient(x)
-            for d in range(len(x)):
-                h = 1e-6 * (1.0 + abs(x[d]))
-                e = np.zeros_like(x)
-                e[d] = h
-                fd = (self(x + e) - self(x - e)) / (2 * h)
-                if abs(fd - g[d]) > tol * (1.0 + abs(g[d])):
-                    return False
-        return True
 
     @classmethod
     def plateau(cls, inner: float, outer: float, dim: int) -> "TestFunction":
@@ -325,23 +311,6 @@ class SemigroupProbeReport:
     rows: tuple[ProbeRow, ...]
     fitted_c: float
 
-    def to_dict(self) -> dict:
-        return {
-            "fitted_c": self.fitted_c,
-            "rows": [
-                {
-                    "pair": r.pair_index,
-                    "t": r.t,
-                    "distance": r.distance,
-                    "initial_distance": r.initial_distance,
-                    "ratio": r.ratio,
-                    "implied_c": r.implied_c,
-                    "flagged": r.flagged,
-                }
-                for r in self.rows
-            ],
-        }
-
 
 def semigroup_probe(
     problem: ProblemSpec,
@@ -436,14 +405,6 @@ class GermReport:
     snap_offset: float
     quad_coeff: float
     intercept: float
-
-    def to_dict(self) -> dict:
-        return {
-            "snap_offset": self.snap_offset,
-            "quad_coeff": self.quad_coeff,
-            "intercept": self.intercept,
-            "rows": [list(r) for r in self.rows],
-        }
 
 
 def germ_compat_check(

@@ -227,6 +227,13 @@ def _positive_int(value, name: str) -> int:
     return n
 
 
+def _flag(config: dict, name: str) -> bool:
+    value = config.get(name, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def _load_config(args) -> tuple[dict, Path]:
     if args.preset and args.config:
         raise ConfigError("give either --config or --preset, not both")
@@ -251,7 +258,7 @@ def cmd_simulate(args) -> int:
     t_final = _final_time(config, args)
     grid = LatticeGrid(
         N=n, dim=problem.initial.dim,
-        adaptive_extent=bool(config.get("adaptive_extent", False)),
+        adaptive_extent=_flag(config, "adaptive_extent"),
     )
     start = time.perf_counter()
     traj = run_semigroup(grid, problem.initial, problem.pvf, problem.src, t_final)
@@ -349,7 +356,7 @@ def cmd_convergence(args) -> int:
         levels,
         t_final,
         metric=metric,
-        adaptive_extent=bool(config.get("adaptive_extent", False)),
+        adaptive_extent=_flag(config, "adaptive_extent"),
     )
     payload = report.to_dict()
     payload["T"] = t_final
@@ -469,9 +476,11 @@ def cmd_validate(args) -> int:
     problem = _build_problem(config, config_dir)
     n = _positive_int(config.get("N", args.N), "N")
     t_final = _final_time(config, args)
-    seed = int(config.get("seed", 0))
+    seed = config.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
     checks = _validate_checks(
-        problem, n, t_final, seed, bool(config.get("adaptive_extent", False))
+        problem, n, t_final, seed, _flag(config, "adaptive_extent")
     )
     passed = all(c["passed"] for c in checks)
     payload = {

@@ -254,12 +254,14 @@ class Ball:
         # this norm (dim rounded squares, their sum and one sqrt) and
         # math.dist's (accurate to about one ulp) differ by a few ulps in the
         # dims the stepper runs, far inside 1e-14 relative (about 45 ulps);
-        # rows that close to the bound, and inf or NaN norms, take the
-        # scalar test
+        # rows that close to a finite bound, and inf or NaN norms, take the
+        # scalar test.  Against an infinite bound the array test is exact.
         with np.errstate(over="ignore", invalid="ignore"):  # inf norms or radius
             norms = np.sqrt(((points - self.center) ** 2).sum(axis=1))
+            inside = norms <= bound
+            if bound == math.inf:
+                return inside
             near = ~(np.abs(norms - bound) > 1e-14 * abs(bound)) | np.isinf(norms)
-        inside = norms <= bound
         if near.any():
             inside[near] = [self.contains(x) for x in points[near].tolist()]
         return inside

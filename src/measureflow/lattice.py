@@ -25,14 +25,16 @@ denominator by q and the source by N and a power of two, and the fraction
 is reduced by the gcd once per step.  Numerators are Python ints because
 the denominator outgrows 64 bits within a few dozen steps.
 
-Same floats as a stepper over per-atom Fractions.  A weight is emitted as
-the correctly rounded ``num / den``, so it is float(Fraction) whatever
-factors the shared denominator carries; ``_ratios`` converts a whole array
-at once (float(num) scaled by 2^-k when den = 2^k, int / int otherwise).
+Same floats as a stepper over per-atom Fractions, the oracle the tests
+keep with the per-point snap and anchor (``tests/conftest.py``).  A weight
+is emitted as the correctly rounded ``num / den``, so it is float(Fraction)
+whatever factors the shared denominator carries; ``_ratios`` converts a
+whole array at once (float(num) scaled by 2^-k when den = 2^k, int / int
+otherwise).
 Diffusion quadrature abscissae are integers over 2 q den, built on object
 arrays, and convert the same way.  The array snap (``_snap``) and profile
 (``PiecewiseLinear.evaluate``) do the same float operations in the same
-order as their per-point forms; the source balls (``Ball.contains_rows``)
+order as those per-point forms; the source balls (``Ball.contains_rows``)
 hand rows within 1e-14 of the bound to the scalar ``math.dist`` test, and
 the support radius rounds each row's sum of squares once, as fsum does.
 The anchors round(k / N^2, 12) are computed on whole cell arrays
@@ -40,10 +42,12 @@ The anchors round(k / N^2, 12) are computed on whole cell arrays
 the one Python's correctly rounded ``round`` picks unless t lies within one
 rounding error of a half-integer, and R / 1e12 is correctly rounded for
 |R| < 2^53; those near-ties (every |t| >= 2^51 among them) take the scalar
-``round``.  Below
-the level bound (``_check_level``) the anchors re-snap to k and increase
-with k, so sorted cells give sorted positions and each state is emitted
-once, as an already-canonical DiscreteMeasure.
+``round``.  Below the level bound (``_check_level``) the anchors re-snap
+to k and increase with k, so sorted cells give sorted positions and each
+state is emitted once, as an already-canonical DiscreteMeasure.  The
+quantizers ``ax_discretize`` and ``av_discretize`` run on the same
+kernel: rounding the exact sum of a cell's weights gives the bits fsum
+gives, since both are correctly rounded.
 
 Sub-floor atoms.  An exact atom lighter than ``WEIGHT_FLOOR`` stays in the
 state and keeps moving (its velocity is evaluated, it feeds the diffusion
@@ -58,7 +62,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,8 +79,6 @@ from .measures import (
     _support_radius,
 )
 
-IndexVec = tuple[int, ...]
-
 # Snap epsilon in index units: absorbs float noise and the 12-decimal
 # position quantization (absolute error up to 5e-13, scaled by the cell
 # count per unit length), so grid-aligned measures round-trip exactly.
@@ -84,14 +86,10 @@ _SNAP_ABS = 1e-9
 _SNAP_REL = 1e-12
 
 
-def _snap_scalar(t: float, cells_per_unit: int) -> int:
-    eps = _SNAP_ABS + 1e-12 * cells_per_unit + _SNAP_REL * abs(t)
-    return math.floor(t + eps)
-
-
 def _snap(values: np.ndarray, cells_per_unit: int) -> np.ndarray:
-    """Cell indices of ``values``: _snap_scalar(c * cells_per_unit,
-    cells_per_unit) for every entry c, with the same float operations."""
+    """Cell indices floor(c N + eps) of the entries c of ``values`` at N =
+    ``cells_per_unit`` cells per unit length, eps = 1e-9 + 1e-12 N +
+    1e-12 |c N|."""
     t = values * cells_per_unit
     eps = (_SNAP_ABS + 1e-12 * cells_per_unit) + _SNAP_REL * np.abs(t)
     return np.floor(t + eps).astype(np.int64)
@@ -139,40 +137,6 @@ class LatticeGrid:
     def velocity_extent(self) -> float:
         return float(self.N)
 
-    # -- snapping -----------------------------------------------------------
-
-    def space_index(self, position: Iterable[float]) -> IndexVec:
-        position = tuple(position)
-        n2 = self.N * self.N
-        idx = tuple(_snap_scalar(c * n2, n2) for c in position)
-        bound = self.space_extent + 1e-9
-        for c in position:
-            if abs(c) > bound:
-                raise SupportOverflow(
-                    f"position {position} outside space extent "
-                    f"[-{self.space_extent}, {self.space_extent}]^n"
-                )
-        return idx
-
-    def space_anchor(self, idx: IndexVec) -> tuple[float, ...]:
-        # quantized like measure coordinates, so anchors round-trip
-        n2 = self.N * self.N
-        return tuple(round(k / n2, 12) for k in idx)
-
-    def velocity_index(self, velocity: Iterable[float]) -> IndexVec:
-        velocity = tuple(velocity)
-        idx = tuple(_snap_scalar(c * self.N, self.N) for c in velocity)
-        bound = self.velocity_extent + 1e-9
-        for c in velocity:
-            if abs(c) > bound:
-                raise SupportOverflow(
-                    f"velocity {velocity} outside velocity extent [-{self.N}, {self.N}]^n"
-                )
-        return idx
-
-    def velocity_anchor(self, idx: IndexVec) -> tuple[float, ...]:
-        return tuple(round(k / self.N, 12) for k in idx)
-
     def is_aligned(self, mu: DiscreteMeasure) -> bool:
         """Whether every atom sits on its space cell's anchor inside the extent.
 
@@ -196,26 +160,27 @@ class LatticeGrid:
 
 def ax_discretize(grid: LatticeGrid, mu: DiscreteMeasure) -> DiscreteMeasure:
     """Snap every atom to its space-cell anchor.  Mass is preserved exactly
-    (weights are regrouped, never rescaled)."""
-    return DiscreteMeasure.from_atoms(
-        ((grid.space_anchor(grid.space_index(pos)), w) for pos, w in mu.atoms),
-        dim=mu.dim,
-    )
+    (weights are regrouped, never rescaled); a level too fine for the
+    support raises ConfigError."""
+    _check_level(grid, mu.support_radius())
+    return _emit(grid, _ingest(grid, mu), 0)[1]
 
 
 def av_discretize(grid: LatticeGrid, lifted: LiftedMeasure) -> LiftedMeasure:
     """Joint snap of base to space cells and velocity to velocity cells."""
-    return LiftedMeasure.from_atoms(
-        (
-            (
-                grid.space_anchor(grid.space_index(base)),
-                grid.velocity_anchor(grid.velocity_index(vel)),
-                w,
-            )
-            for base, vel, w in lifted.atoms
-        ),
-        dim=lifted.dim,
-    )
+    dim = lifted.dim
+    rows = np.array([(*base, *vel) for base, vel, _ in lifted.atoms], dtype=float)
+    rows = rows.reshape(-1, 2 * dim)
+    bases, velocities = rows[:, :dim], rows[:, dim:]
+    _check_level(grid, _support_radius(bases))
+    cells = np.hstack([_space_cells(grid, bases), _velocity_cells(grid, velocities)])
+    state = _merge([(cells, *_dyadic(w for _, _, w in lifted.atoms))])
+    weights = _ratios(state.nums, state.den)
+    kept = weights >= WEIGHT_FLOOR
+    cells = state.cells[kept]
+    atoms = zip(map(tuple, _anchors(cells[:, :dim], grid.N * grid.N).tolist()),
+                map(tuple, _anchors(cells[:, dim:], grid.N).tolist()), weights[kept].tolist())
+    return LiftedMeasure(atoms=tuple(atoms), dim=dim)
 
 
 # -- exact stepping kernel -------------------------------------------------------
@@ -276,7 +241,7 @@ def _outside(values: np.ndarray, extent: float) -> tuple[float, ...] | None:
 
 def _cells(values: np.ndarray, cells_per_unit: int, extent: float, name: str) -> np.ndarray:
     """Cell indices of the rows of ``values``, which must lie in the extent
-    box (grid.space_index or grid.velocity_index of every row)."""
+    box."""
     row = _outside(values, extent)
     if row is not None:
         raise SupportOverflow(f"{name} {row} outside the extent [-{extent}, {extent}]^n")
@@ -334,7 +299,7 @@ def _emit(
         atom = tuple(recorded[np.argmax(off)].tolist())
         raise AssertionError(f"state left the lattice at step {step}: atom {atom}")
     atoms = tuple(zip(map(tuple, recorded.tolist()), weights[kept].tolist()))
-    snapshot = DiscreteMeasure(atoms=atoms, dim=grid.dim)
+    snapshot = DiscreteMeasure(atoms=atoms, dim=state.cells.shape[1])
     return positions, snapshot, _support_radius(recorded)
 
 
@@ -504,7 +469,9 @@ def predicted_reach(
     """Upper bound on the support radius over [0, T], plus one cell of slack.
 
     Uses the uniform speed bound when the PVF declares one, otherwise the
-    Gronwall envelope of dr/dt = C (1 + r) from the sublinearity budget.
+    Gronwall envelope of dr/dt = C (1 + r) from the sublinearity budget.  A
+    constant or custom source may create mass anywhere in B(0, R); a
+    proportional one only on atoms already there, so its R does not count.
     """
     r0 = mu0.support_radius()
     if pvf is None:
@@ -514,7 +481,7 @@ def predicted_reach(
     else:
         c = pvf.growth_constant
         reach = (r0 + 1.0) * math.exp(c * T) - 1.0
-    if src is not None:
+    if src is not None and src.kind != "proportional":
         reach = max(reach, src.support_radius)
     return reach + 1.0
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -214,12 +213,6 @@ class DiscreteMeasure:
             raise DimensionMismatch("cdf is defined for dim 1 only")
         return math.fsum(w for (p,), w in self.atoms if p <= x)
 
-    def cdf_left(self, x: float) -> float:
-        """Left limit F(x-) = mu((-inf, x)); dim 1 only."""
-        if self.dim != 1:
-            raise DimensionMismatch("cdf is defined for dim 1 only")
-        return math.fsum(w for (p,), w in self.atoms if p < x)
-
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -230,16 +223,6 @@ class DiscreteMeasure:
         dim = int(data["dim"])
         atoms = [(tuple(row[:dim]), row[dim]) for row in data["atoms"]]
         return cls.from_atoms(atoms, dim=dim)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DiscreteMeasure":
-        return cls.from_dict(json.loads(text))
-
-    def to_csv_rows(self) -> list[list[float]]:
-        return [[*pos, w] for pos, w in self.atoms]
 
     @classmethod
     def from_csv(cls, text: str, dim: int) -> "DiscreteMeasure":

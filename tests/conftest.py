@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from measureflow.errors import SupportOverflow
 from measureflow.measures import DiscreteMeasure, LiftedMeasure
 
 settings.register_profile(
@@ -65,6 +68,61 @@ def random_lifted(rng, n_atoms, dim=1, span=3.0, vspan=2.0, weights=None):
         w = float(rng.uniform(0.1, 1.0)) if weights is None else weights[k]
         atoms.append((pos, vel, w))
     return LiftedMeasure.from_atoms(atoms, dim=dim)
+
+
+# -- per-point snap and anchors: the oracle for the lattice kernel -------------
+#
+# The lattice snaps whole arrays (``lattice._snap``, ``_anchors``); these
+# are the per-coordinate forms it must agree with bit for bit.
+
+
+def snap_scalar(t: float, cells_per_unit: int) -> int:
+    """Cell index of t = c * cells_per_unit, with the snap epsilon."""
+    eps = 1e-9 + 1e-12 * cells_per_unit + 1e-12 * abs(t)
+    return math.floor(t + eps)
+
+
+def _index(position, cells_per_unit, extent, name):
+    position = tuple(position)
+    if any(abs(c) > extent + 1e-9 for c in position):
+        raise SupportOverflow(f"{name} {position} outside [-{extent}, {extent}]^n")
+    return tuple(snap_scalar(c * cells_per_unit, cells_per_unit) for c in position)
+
+
+def space_index(grid, position) -> tuple[int, ...]:
+    return _index(position, grid.N * grid.N, grid.space_extent, "position")
+
+
+def velocity_index(grid, velocity) -> tuple[int, ...]:
+    return _index(velocity, grid.N, grid.velocity_extent, "velocity")
+
+
+def space_anchor(grid, idx) -> tuple[float, ...]:
+    n2 = grid.N * grid.N
+    return tuple(round(k / n2, 12) for k in idx)
+
+
+def velocity_anchor(grid, idx) -> tuple[float, ...]:
+    return tuple(round(k / grid.N, 12) for k in idx)
+
+
+def ax_discretize_points(grid, mu: DiscreteMeasure) -> DiscreteMeasure:
+    """``ax_discretize`` atom by atom, merged by ``from_atoms`` (fsum)."""
+    return DiscreteMeasure.from_atoms(
+        ((space_anchor(grid, space_index(grid, pos)), w) for pos, w in mu.atoms), dim=mu.dim
+    )
+
+
+def av_discretize_points(grid, lifted: LiftedMeasure) -> LiftedMeasure:
+    """``av_discretize`` atom by atom, merged by ``from_atoms`` (fsum)."""
+    return LiftedMeasure.from_atoms(
+        (
+            (space_anchor(grid, space_index(grid, base)),
+             velocity_anchor(grid, velocity_index(grid, vel)), w)
+            for base, vel, w in lifted.atoms
+        ),
+        dim=lifted.dim,
+    )
 
 
 @pytest.fixture

@@ -16,11 +16,12 @@ _spec.loader.exec_module(bench_record)
 PARENT = [0.13, 0.14, 0.145, 0.145, 0.15, 0.15, 0.155, 0.155, 0.16, 0.17]
 
 
-def _write_runs(directory: Path, norm_wall: list[float]) -> Path:
+def _write_runs(directory: Path, norm_wall: list[float], seconds: float = 30.0) -> Path:
     directory.mkdir()
     for seed, value in enumerate(norm_wall, start=1):
         record = {
-            "args": {"workload": "study", "trace": 0, "seed": seed, "tiny": False},
+            "args": {"workload": "study", "trace": 0, "seed": seed, "tiny": False,
+                     "seconds": seconds},
             "metrics": {
                 "norm_wall_s": {"value": value, "unit": "s"},
                 "setup_s": {"value": 0.2, "unit": "s"},
@@ -43,12 +44,12 @@ def test_clear_gain_meets_the_claim(tmp_path):
     verdict = entry["verdict"]["norm_wall_s"]
     assert entry["wins"]["norm_wall_s"] == {"pairs": 10, "change_better": 10,
                                            "parent_better": 0}
-    assert verdict["claim_met"] and verdict["no_regression"]
+    assert verdict["claim_met"] and verdict["no_regression"] == "yes"
     assert verdict["gain"] == pytest.approx(0.03)
     assert verdict["parent_iqr"] == pytest.approx(0.01)
     # equal values are ties: no claim, and no regression
     assert entry["verdict"]["setup_s"] == {**entry["verdict"]["setup_s"],
-                                          "claim_met": False, "no_regression": True}
+                                          "claim_met": False, "no_regression": "yes"}
     assert set(entry["verdict"]) == {"norm_wall_s", "setup_s", "peak_rss_mb"}
     line = next(x for x in bench_record.verdict_lines({"study/trace0": entry})
                 if "norm_wall_s" in x)
@@ -80,7 +81,7 @@ def test_no_regression_is_the_relative_bound(tmp_path, worse, ok):
     entry = _verdicts(tmp_path, [v * (1 + worse) for v in PARENT])
     verdict = entry["verdict"]["norm_wall_s"]
     assert verdict["limit"] == pytest.approx(0.15 * 1.24)
-    assert verdict["no_regression"] is ok and not verdict["claim_met"]
+    assert verdict["no_regression"] == ("yes" if ok else "no") and not verdict["claim_met"]
     line = bench_record.verdict_lines({"study/trace0": entry})[0]
     assert ("REGRESSION" in line) is not ok
 
@@ -90,7 +91,49 @@ def test_higher_is_better_metric():
     parent = {"median": 100.0, "q1": 95.0, "q3": 105.0}
     wins = {"pairs": 10, "change_better": 10, "parent_better": 0}
     gain = bench_record._verdict(parent, {"median": 120.0}, wins, metric)
-    assert gain["claim_met"] and gain["no_regression"] and gain["gain"] == 20.0
+    assert gain["claim_met"] and gain["no_regression"] == "yes" and gain["gain"] == 20.0
     loss = bench_record._verdict(parent, {"median": 89.0}, wins, metric)
-    assert not loss["claim_met"] and not loss["no_regression"]
-    assert bench_record._verdict(parent, {"median": 91.0}, wins, metric)["no_regression"]
+    assert not loss["claim_met"] and loss["no_regression"] == "no"
+    assert bench_record._verdict(parent, {"median": 91.0}, wins, metric)["no_regression"] == "yes"
+
+
+def test_claim_needs_ten_pairs(tmp_path):
+    # 9 of 9 pairs better met the claim
+    change = [v - 0.03 for v in PARENT]
+    workloads = bench_record.record(_write_runs(tmp_path / "change", change[:9]),
+                                    _write_runs(tmp_path / "parent", PARENT[:9]))
+    entry = workloads["study/trace0"]
+    assert entry["wins"]["norm_wall_s"]["change_better"] == 9
+    assert not entry["verdict"]["norm_wall_s"]["claim_met"]
+
+
+def test_wide_parent_spread_is_unresolved(tmp_path):
+    # parent q3 - q1 = 0.055 against a bound of 0.24 x 0.15 = 0.036: a
+    # change median equal to the parent's cannot be told from a regression
+    wide = [0.09, 0.1, 0.12, 0.13, 0.15, 0.15, 0.17, 0.18, 0.2, 0.21]
+    workloads = bench_record.record(_write_runs(tmp_path / "change", wide),
+                                    _write_runs(tmp_path / "parent", wide))
+    entry = workloads["study/trace0"]
+    verdict = entry["verdict"]["norm_wall_s"]
+    assert verdict["parent_iqr"] == pytest.approx(0.055)
+    assert verdict["no_regression"] == "unresolved"
+    line = next(x for x in bench_record.verdict_lines(workloads) if "norm_wall_s" in x)
+    assert "UNRESOLVED" in line
+    # unless every change run beats every parent run
+    better = tmp_path / "better"
+    better.mkdir()
+    workloads = bench_record.record(_write_runs(better / "change", [0.08] * 10),
+                                    _write_runs(better / "parent", wide))
+    assert workloads["study/trace0"]["verdict"]["norm_wall_s"]["no_regression"] == "yes"
+
+
+def test_run_length_other_than_the_benchmark_is_flagged(tmp_path):
+    entry = _verdicts(tmp_path, PARENT)
+    assert "seconds_flag" not in entry and entry["change"]["seconds"] == [30.0]
+    short = tmp_path / "short"
+    short.mkdir()
+    workloads = bench_record.record(_write_runs(short / "change", PARENT, seconds=10.0),
+                                    _write_runs(short / "parent", PARENT))
+    entry = workloads["study/trace0"]
+    assert entry["seconds_flag"] == "runs of 10.0, 30.0 s, not BENCHMARK.json's run_seconds 30 s"
+    assert bench_record.verdict_lines(workloads)[-1] == f"study/trace0: FLAG {entry['seconds_flag']}"

@@ -211,6 +211,20 @@ class TestSimulateCommand:
         summary = json.loads((tmp_path / "o.csv.summary.json").read_text())
         assert summary["final_mass"] == 1.125**4
 
+    def test_proportional_source_with_infinite_radius(self, tmp_path):
+        # such a source only grows existing atoms, so its R does not widen
+        # the growth envelope (an infinite R exited 3 here)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "problem": "custom", "N": 4, "T": 1.0,
+            "initial_measure": {"dim": 1, "atoms": [[0.0, 1.0]]},
+            "source": {"kind": "proportional", "rate": 0.5, "R": math.inf},
+        }))
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--no-timestamp"]) == 0
+        summary = json.loads((tmp_path / "o.csv.summary.json").read_text())
+        assert summary["masses"] == [1.125**k for k in range(5)]
+
     def test_carrier_of_another_dim_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -257,6 +271,20 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(out), "--no-timestamp"]) == 0
         final = out.read_text().strip().splitlines()[-1]
         assert final.split(",")[2] == "0.75"
+
+
+@pytest.mark.parametrize("command", ["simulate", "convergence", "validate"])
+@pytest.mark.parametrize("value", ["false", 0, None])
+def test_adaptive_extent_must_be_a_boolean(tmp_path, capsys, command, value):
+    # "false" was read as true
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "translate", "N": 4, "T": 1.0,
+                               "N_list": [2, 4, 8], "adaptive_extent": value}))
+    out = tmp_path / "o.out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: ConfigError: adaptive_extent must be true or false, got {value!r}\n"
+    assert not out.exists()
 
 
 class TestConvergenceCommand:
@@ -312,6 +340,15 @@ class TestValidateCommand:
         cfg.write_text(json.dumps({"problem": "translate", "T": math.nan}))
         assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v.json")]) == 2
         assert capsys.readouterr().err.startswith("error: ConfigError: T must be")
+
+    @pytest.mark.parametrize("seed", ["abc", 1.7, True, [1]])
+    def test_seed_must_be_an_integer(self, tmp_path, capsys, seed):
+        # "abc" exited 1 with a ValueError traceback; 1.7 ran as seed 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "translate", "N": 4, "T": 1.0, "seed": seed}))
+        assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "v.json")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: ConfigError: seed must be an integer, got {seed!r}\n"
 
     @pytest.mark.parametrize("preset", ["translate", "diffusion1d", "source-only"])
     def test_presets_pass(self, tmp_path, preset):

@@ -329,6 +329,22 @@ class TestBallRows:
         with pytest.raises(DimensionMismatch):
             ball.contains_rows(np.zeros((3, 1)))
 
+    def test_infinite_radius_takes_no_scalar_test(self, monkeypatch):
+        # every row went through the scalar test (1e-14 x inf = inf)
+        ball = Ball((0.5, -1.0), math.inf)
+        points = np.concatenate([np.linspace(-10.0, 10.0, 2000).reshape(-1, 2),
+                                 [[1e300, 1e300], [math.inf, 0.0], [-math.inf, 1.0],
+                                  [math.nan, 0.0]]])
+        want = [ball.contains(p) for p in points.tolist()]
+        calls = []
+        contains = Ball.contains
+        monkeypatch.setattr(Ball, "contains", lambda self, p: calls.append(p) or contains(self, p))
+        assert ball.contains_rows(points).tolist() == want
+        assert want == [True] * 1003 + [False] and calls == []
+        # a finite bound still takes it at the bound and for an inf norm
+        finite = Ball((0.0,), 1.0).contains_rows(np.array([[1.0 + 1e-12], [math.inf]]))
+        assert finite.tolist() == [True, False] and len(calls) == 2
+
 
 class TestProbes:
     def test_constant_source_estimate_zero(self, rng):

@@ -4,12 +4,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_measure
-from measureflow.errors import SupportOverflow
+from conftest import (
+    av_discretize_points,
+    ax_discretize_points,
+    random_measure,
+    space_anchor,
+    space_index,
+)
+from measureflow.errors import ConfigError, SupportOverflow
 from measureflow.fields import PiecewiseLinear, PvfSpec, SourceSpec
 from measureflow.flat import generalized_wasserstein
 from measureflow.lattice import (
     LatticeGrid,
+    _anchors,
+    _space_cells,
     av_discretize,
     ax_discretize,
     interpolate,
@@ -33,7 +41,7 @@ def constant_pvf(speed=1.0):
 def _is_aligned_scalar(grid: LatticeGrid, mu: DiscreteMeasure) -> bool:
     """Oracle: the per-atom form of ``LatticeGrid.is_aligned``."""
     try:
-        return all(grid.space_anchor(grid.space_index(pos)) == pos for pos, _ in mu.atoms)
+        return all(space_anchor(grid, space_index(grid, pos)) == pos for pos, _ in mu.atoms)
     except SupportOverflow:
         return False
 
@@ -51,13 +59,12 @@ class TestGrid:
 
     def test_snap_example(self):
         g = LatticeGrid(N=2, dim=1)
-        assert g.space_anchor(g.space_index((0.6,))) == (0.5,)
+        assert _anchors(_space_cells(g, np.array([[0.6]])), 4).tolist() == [[0.5]]
 
     def test_aligned_roundtrip(self):
         g = LatticeGrid(N=3, dim=1)
-        for k in range(-20, 21):
-            anchor = g.space_anchor((k,))
-            assert g.space_index(anchor) == (k,)
+        cells = np.arange(-20, 21).reshape(-1, 1)
+        assert (_space_cells(g, _anchors(cells, 9)) == cells).all()
 
     def test_is_aligned_matches_scalar_form(self):
         rng = np.random.default_rng(3000)
@@ -69,7 +76,7 @@ class TestGrid:
             # cells up to a few past the extent on either side
             reach = int(grid.space_extent * n * n) + 3
             cells = rng.integers(-reach, reach + 1, size=(int(rng.integers(1, 6)), dim))
-            points = [list(grid.space_anchor(tuple(c))) for c in cells.tolist()]
+            points = [list(space_anchor(grid, c)) for c in cells.tolist()]
             if k % 3 == 1:  # one coordinate off its anchor, by 1e-13 up to 1e-2
                 a, c = int(rng.integers(len(points))), int(rng.integers(dim))
                 points[a][c] += float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-13, -2))
@@ -91,12 +98,13 @@ class TestGrid:
 
     def test_velocity_snap_example(self):
         g = LatticeGrid(N=2, dim=1)
-        assert g.velocity_anchor(g.velocity_index((0.3,))) == (0.0,)
+        lifted = LiftedMeasure.from_atoms([([0.0], [0.3], 1.0)])
+        assert av_discretize(g, lifted).atoms == (((0.0,), (0.0,), 1.0),)
 
     def test_overflow_detected(self):
         g = LatticeGrid(N=2, dim=1)
         with pytest.raises(SupportOverflow):
-            g.space_index((5.0,))
+            ax_discretize(g, d([5.0]))
 
 
 class TestAxDiscretize:
@@ -151,6 +159,76 @@ class TestAvDiscretize:
             snapped = av_discretize(g, lifted)
             dist, _ = wasserstein1(lifted.as_joint(), snapped.as_joint())
             assert dist <= lifted.mass() * math.sqrt(1) * (g.dx + g.dv) + 1e-12
+
+
+def _hex_atoms(measure) -> list:
+    return [tuple(c.hex() for part in atom[:-1] for c in part) + (atom[-1].hex(),)
+            for atom in measure.atoms]
+
+
+def _coordinate(rng, cells_per_unit: int, extent: float, pool: list[int]) -> float:
+    """A coordinate that is an anchor, an anchor moved a few ulps either way
+    (near-ties at the cell boundary), a sub-cell offset into a cell of a
+    small pool (collisions), uniform in the extent, or just outside it."""
+    u = rng.random()
+    k = pool[int(rng.integers(len(pool)))]
+    anchor = round(k / cells_per_unit, 12)
+    if u < 0.25:
+        return anchor
+    if u < 0.5:
+        x = anchor
+        for _ in range(int(rng.integers(1, 4))):
+            x = float(np.nextafter(x, rng.choice([-math.inf, math.inf])))
+        return x
+    if u < 0.85:
+        return (k + float(rng.uniform(0.0, 1.0))) / cells_per_unit
+    if u < 0.99:
+        return float(rng.uniform(-extent, extent))
+    return float(rng.choice([-1.0, 1.0]) * (extent + rng.uniform(1e-8, 1e-2)))
+
+
+def _outcome(quantize, grid, measure):
+    try:
+        return _hex_atoms(quantize(grid, measure))
+    except SupportOverflow:
+        return "SupportOverflow"
+
+
+def test_quantizers_equal_per_point_oracle():
+    rng = np.random.default_rng(2202)
+    overflows = collisions = 0
+    for _ in range(3000):
+        n, dim = int(rng.choice([1, 2, 3, 7, 16, 40, 97, 1000])), int(rng.integers(1, 3))
+        grid = LatticeGrid(N=n, dim=dim)
+        n2 = n * n
+        space_pool = rng.integers(-n2 * n, n2 * n + 1, size=3).tolist()
+        vel_pool = rng.integers(-n2, n2 + 1, size=3).tolist()
+        count = int(rng.integers(1, 9))
+        weights = [float(rng.choice([1.0, 1e-3, 1e-14]) * rng.uniform(0.5, 2.0))
+                   for _ in range(count)]
+        bases = [[_coordinate(rng, n2, n, space_pool) for _ in range(dim)]
+                 for _ in range(count)]
+        velocities = [[_coordinate(rng, n, n, vel_pool) for _ in range(dim)]
+                      for _ in range(count)]
+        mu = DiscreteMeasure.from_atoms(zip(bases, weights), dim=dim)
+        lifted = LiftedMeasure.from_atoms(zip(bases, velocities, weights), dim=dim)
+        for quantize, oracle, measure in ((ax_discretize, ax_discretize_points, mu),
+                                          (av_discretize, av_discretize_points, lifted)):
+            want = _outcome(oracle, grid, measure)
+            assert _outcome(quantize, grid, measure) == want
+            overflows += want == "SupportOverflow"
+            collisions += want != "SupportOverflow" and len(want) < len(measure)
+    assert overflows > 500 and collisions > 1000
+
+
+def test_quantizers_reject_a_level_too_fine_for_the_support():
+    # at N = 10^6 the snap epsilon 1e-9 + 1e-12 (N^2 + |x| N^2) passes a
+    # whole cell, and the per-point snap put 0.3 at 0.300000000001
+    grid = LatticeGrid(N=10**6, dim=1)
+    with pytest.raises(ConfigError, match="too fine"):
+        ax_discretize(grid, d([0.3]))
+    with pytest.raises(ConfigError, match="too fine"):
+        av_discretize(grid, LiftedMeasure.from_atoms([([0.3], [0.0], 1.0)]))
 
 
 class TestLasStep:
@@ -243,6 +321,18 @@ class TestRunSemigroup:
         traj = run_semigroup(g, d([0.0]), None, src, 2.0)
         for k, mass in enumerate(traj.exact_masses):
             assert mass == 1 + Fraction(k, 4)
+
+    def test_proportional_source_radius_leaves_the_envelope(self):
+        # it creates mass only on atoms already there: an infinite R was
+        # rejected upfront with "growth envelope radius inf"
+        g = LatticeGrid(N=4, dim=1)
+        src = SourceSpec.proportional(0.5, math.inf)
+        assert predicted_reach(d([0.0]), constant_pvf(1.0), src, 1.0) == pytest.approx(2.0)
+        traj = run_semigroup(g, d([0.0]), constant_pvf(1.0), src, 1.0)
+        masses = traj.exact_masses
+        assert [b / a for a, b in zip(masses, masses[1:])] == [1 + Fraction(1, 8)] * 4
+        constant = SourceSpec.constant(d([0.0]), support_radius=3.0)
+        assert predicted_reach(d([0.0]), constant_pvf(1.0), constant, 1.0) == 4.0
 
     def test_semigroup_law(self):
         g = LatticeGrid(N=8, dim=1)

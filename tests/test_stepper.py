@@ -10,10 +10,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import snap_scalar, space_anchor, space_index, velocity_index
 from measureflow.cli import _build_problem, main
 from measureflow.errors import ConfigError, ProfileRangeError
 from measureflow.fields import Ball, PiecewiseLinear, PvfSpec, SourceSpec
-from measureflow.lattice import LatticeGrid, _anchors, _snap, _snap_scalar, run_semigroup
+from measureflow.lattice import LatticeGrid, _anchors, _snap, _space_cells, run_semigroup
 from measureflow.measures import WEIGHT_FLOOR, DiscreteMeasure, LiftedMeasure, _quantize
 
 d = DiscreteMeasure.dirac
@@ -37,7 +38,7 @@ def _scalar_phi(phi: PiecewiseLinear, s: float) -> float:
 
 def _emit(grid, state, dim):
     return DiscreteMeasure.from_atoms(
-        ((grid.space_anchor(idx), float(w)) for idx, w in state.items()), dim=dim
+        ((space_anchor(grid, idx), float(w)) for idx, w in state.items()), dim=dim
     )
 
 
@@ -45,7 +46,7 @@ def _exact(grid, state, dim):
     """Every exact atom, sub-floor ones included, each weight rounded once:
     the measure a custom evaluator is handed."""
     return DiscreteMeasure(
-        atoms=tuple((grid.space_anchor(idx), float(w)) for idx, w in sorted(state.items())),
+        atoms=tuple((space_anchor(grid, idx), float(w)) for idx, w in sorted(state.items())),
         dim=dim,
     )
 
@@ -58,19 +59,19 @@ def _lift(grid, state, pvf, dim):
 
     if pvf.kind == "deterministic":
         for idx, w in state.items():
-            vel = tuple(float(c) for c in pvf.velocity(np.asarray(grid.space_anchor(idx))))
-            put(idx, grid.velocity_index(vel), w)
+            vel = tuple(float(c) for c in pvf.velocity(np.asarray(space_anchor(grid, idx))))
+            put(idx, velocity_index(grid, vel), w)
     elif pvf.kind == "diffusion1d":
         q = pvf.quadrature_points
         cumulative = Fraction(0)
         for idx, w in sorted(state.items()):
             for i in range(1, q + 1):
                 s = cumulative + (2 * i - 1) * w / (2 * q)
-                put(idx, grid.velocity_index((_scalar_phi(pvf.phi, float(s)),)), w / q)
+                put(idx, velocity_index(grid, (_scalar_phi(pvf.phi, float(s)),)), w / q)
             cumulative += w
     else:
         for base, vel, w in pvf.evaluator(_exact(grid, state, dim)).atoms:
-            put(grid.space_index(base), grid.velocity_index(vel), Fraction(w))
+            put(space_index(grid, base), velocity_index(grid, vel), Fraction(w))
     return lift
 
 
@@ -81,13 +82,13 @@ def _created(grid, state, src, dim):
         return [
             (idx, Fraction(src.rate) * w)
             for idx, w in sorted(state.items())
-            if ball.contains(grid.space_anchor(idx))
-            and (src.carrier is None or src.carrier.contains(grid.space_anchor(idx)))
+            if ball.contains(space_anchor(grid, idx))
+            and (src.carrier is None or src.carrier.contains(space_anchor(grid, idx)))
         ]
     if src.kind == "constant":
-        return [(grid.space_index(pos), Fraction(w)) for pos, w in src.measure.atoms]
+        return [(space_index(grid, pos), Fraction(w)) for pos, w in src.measure.atoms]
     return [
-        (grid.space_index(pos), Fraction(w))
+        (space_index(grid, pos), Fraction(w))
         for pos, w in src.evaluator(_exact(grid, state, dim)).atoms
     ]
 
@@ -97,7 +98,7 @@ def reference_run(grid, mu0, pvf, src, steps):
     dim = mu0.dim
     state = {}
     for pos, w in mu0.atoms:
-        idx = grid.space_index(pos)
+        idx = space_index(grid, pos)
         state[idx] = state.get(idx, Fraction(0)) + Fraction(w)
     atoms, masses, counts = [], [], []
     for k in range(steps + 1):
@@ -389,7 +390,7 @@ def test_array_snap_equals_scalar(n):
             values += [float(up), float(down)]
     for cells in (n, n2):
         got = _snap(np.array(values), cells).tolist()
-        assert got == [_snap_scalar(v * cells, cells) for v in values]
+        assert got == [snap_scalar(v * cells, cells) for v in values]
 
 
 def _level_bound_cell(n2: int) -> int:
@@ -460,8 +461,8 @@ def test_level_bound():
     assert traj.final_state.atoms == (((round(1 / below, 12),), 1.0),)
     grid = traj.grid
     n2 = below * below
-    for k in np.linspace(-1.0 * n2, 1.0 * n2, 2001).astype(np.int64).tolist():
-        assert grid.space_index(grid.space_anchor((k,))) == (k,)
+    cells = np.linspace(-1.0 * n2, 1.0 * n2, 2001).astype(np.int64).reshape(-1, 1)
+    assert (_space_cells(grid, _anchors(cells, n2)) == cells).all()
     with pytest.raises(ConfigError, match="too fine"):
         run_semigroup(LatticeGrid(N=above, dim=1), d([0.0]), pvf, None, 1 / above)
 
