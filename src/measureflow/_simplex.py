@@ -37,24 +37,28 @@ rebuild checks that the basis is a spanning tree and recomputes every
 reduced cost for the optimality certificate.
 
 Warm start.  A caller solving a sequence of instances can pass a
-``WarmStart`` carrier, which keeps the last optimal basis: all m + n - 1
-arcs with their flows.  For a fixed tree and fixed supplies and demands the
+``WarmStart`` carrier, which keeps the last optimal basis (all m + n - 1
+arcs with their flows) and the tree of its final rebuild: adjacency,
+parents and BFS order.  For a fixed tree and fixed supplies and demands the
 tree flows are unique, so that basis is primal-feasible for any instance
 with the same supply and demand, whatever its costs (the reoptimization
 view of Ahuja, Magnanti and Orlin, ch. 11).  Such a solve skips both starts
-and pivots from the kept basis, with the same pricing, Bland window, pivot
-limit and final certificate; when the costs moved a little, few pivots
-remain.  Any other instance takes the cold start.  Where the optimum is
-degenerate a warm solve may end at another optimal basis than a cold one,
-so flows and the value's last bits can differ.  The carrier belongs to the
-caller, not to the module, so a result depends on the call's arguments
-alone.
+and the starting BFS: it prices the kept tree with one pass over the kept
+order, each potential ``cost[arc] - potential[parent]`` as above, so the
+bits are those a rebuild would give.  It then pivots with the same pricing,
+Bland window and pivot limit, and ends with the same full rebuild and
+certificate; when the costs moved a little, few pivots remain.  Any other
+instance takes the cold start.  A solve empties the carrier when it starts
+and refills it only when it succeeds.  Where the optimum is degenerate a
+warm solve may end at another optimal basis than a cold one, so flows and
+the value's last bits can differ.  The carrier belongs to the caller, not
+to the module, so a result depends on the call's arguments alone.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from itertools import islice
 
 import numpy as np
 
@@ -188,35 +192,46 @@ class _Tree:
             self.adj[m + j].add(i)
         self.parent = [-1] * (m + n)
         self.depth = [0] * (m + n)
+        self.order: list[int] = []
 
-    def rebuild(self, cost: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
-        """BFS from the root: parents, depths and dual potentials."""
-        m = self.m
+    def rebuild(self, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """BFS from the root: parents, depths, the visiting order, and from
+        them the dual potentials ``u, v``."""
         parent = self.parent
         depth = self.depth
-        seen = [False] * (m + self.n)
+        adj = self.adj
+        seen = [False] * (self.m + self.n)
+        seen[0] = True
         parent[0] = -1
         depth[0] = 0
-        seen[0] = True
-        u[0] = 0.0
-        queue = deque([0])
-        count = 0
-        while queue:
-            node = queue.popleft()
-            count += 1
-            for nbr in self.adj[node]:
-                if seen[nbr]:
-                    continue
-                seen[nbr] = True
-                parent[nbr] = node
-                depth[nbr] = depth[node] + 1
-                if node < m:  # row -> col arc (node, nbr - m)
-                    v[nbr - m] = cost[node, nbr - m] - u[node]
-                else:  # col -> row arc (nbr, node - m)
-                    u[nbr] = cost[nbr, node - m] - v[node - m]
-                queue.append(nbr)
-        if count != m + self.n:
+        order = [0]
+        for node in order:  # the list is the queue: it grows while read
+            for nbr in adj[node]:
+                if not seen[nbr]:
+                    seen[nbr] = True
+                    parent[nbr] = node
+                    depth[nbr] = depth[node] + 1
+                    order.append(nbr)
+        if len(order) != self.m + self.n:
             raise SimplexError("basis graph is not a spanning tree")
+        self.order = order
+        return self.potentials(cost)
+
+    def potentials(self, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Dual potentials ``u, v`` down the order of the last rebuild, each
+        ``cost[arc] - potential[parent]`` with ``u[0] = 0``.  The order must
+        put every node after its parent."""
+        m = self.m
+        parent = self.parent
+        u = [0.0] * m
+        v = [0.0] * self.n
+        for node in islice(self.order, 1, None):
+            up = parent[node]
+            if node < m:  # col -> row arc (node, up - m)
+                u[node] = cost.item(node, up - m) - v[up - m]
+            else:  # row -> col arc (up, node - m)
+                v[node - m] = cost.item(up, node - m) - u[up]
+        return np.array(u), np.array(v)
 
     def cycle(self, row: int, col_node: int) -> tuple[list[int], int]:
         """Node walk of the unique cycle closed by the entering arc row->col.
@@ -357,9 +372,7 @@ def _pivot(tree, flows, cost, u, v, reduced, price_tol, degen_tol, max_iter) -> 
 def _basis(m: int, n: int, flows: dict[int, float], cost: np.ndarray):
     """The tree, potentials and reduced costs of a spanning-tree basis."""
     tree = _Tree(m, n, flows)
-    u = np.zeros(m)
-    v = np.zeros(n)
-    tree.rebuild(cost, u, v)
+    u, v = tree.rebuild(cost)
     return tree, u, v, cost - u[:, None] - v[None, :]
 
 
@@ -367,25 +380,39 @@ class WarmStart:
     """Caller-owned carrier of the last optimal basis, for the next solve.
 
     It holds every arc of the basis with its flow, zero-flow arcs included,
+    the tree of the solve's final rebuild (adjacency, parents and BFS order),
     and the supply and demand bytes the basis was built for.  A solve that
-    gets a carrier starts from that basis when its own supply and demand
-    have the same bytes, and stores its final basis back either way.  A
-    carrier holds no state beyond what its caller's solves put in it.
+    gets a carrier empties it, starts from its basis and tree when its own
+    supply and demand have the same bytes, and stores its final basis and
+    tree back when it succeeds.  A carrier holds no state beyond what its
+    caller's solves put in it.
     """
 
-    __slots__ = ("masses", "basis")
+    __slots__ = ("masses", "basis", "tree")
 
     def __init__(self) -> None:
         self.masses = (b"", b"")
         self.basis: dict[int, float] = {}
+        self.tree: _Tree | None = None
 
     def fits(self, supply: np.ndarray, demand: np.ndarray) -> bool:
         """Whether the basis is for these supplies and demands (and shape)."""
         return self.masses == (supply.tobytes(), demand.tobytes())
 
-    def keep(self, supply: np.ndarray, demand: np.ndarray, basis: dict[int, float]) -> None:
+    def keep(self, supply: np.ndarray, demand: np.ndarray, basis: dict[int, float],
+             tree: _Tree) -> None:
         self.masses = (supply.tobytes(), demand.tobytes())
         self.basis = basis
+        self.tree = tree
+
+    def take(self, supply: np.ndarray, demand: np.ndarray):
+        """``(basis, tree)`` when they fit these supplies and demands, else
+        None.  The carrier is empty afterwards either way, so a solve that
+        fails leaves nothing behind."""
+        fit = self.fits(supply, demand)
+        kept = self.basis, self.tree
+        self.masses, self.basis, self.tree = (b"", b""), {}, None
+        return kept if fit else None
 
 
 def solve_transport(
@@ -407,8 +434,8 @@ def solve_transport(
     finds it optimal (sorted, balanced 1D instances), it is the answer.
     Otherwise the pivots start from the matrix-minimum basis instead.  When
     ``warm`` holds a basis for the same supply and demand bytes, the pivots
-    start from it and neither start is built; the final basis is stored in
-    ``warm`` either way.
+    start from it and neither start is built; ``warm`` is emptied when the
+    solve starts and gets the final basis and tree when it succeeds.
     """
     supply = np.asarray(supply, dtype=float)
     demand = np.asarray(demand, dtype=float)
@@ -427,28 +454,31 @@ def solve_transport(
     if max_iter is None:
         max_iter = 2000 + 60 * (m + n)
 
-    if warm is not None and warm.fits(supply, demand):
-        flows = dict(warm.basis)
+    kept = None if warm is None else warm.take(supply, demand)
+    if kept is not None:
+        flows, tree = kept
+        u, v = tree.potentials(cost)
+        reduced = cost - u[:, None] - v[None, :]
         pivot = True
     else:
         flows, u, v = _northwest_corner(supply, demand, cost)
         pivot = (cost - u[:, None] - v[None, :]).min() < -price_tol
         if pivot:
             flows = _greedy_start(supply, demand, cost)
+            tree, u, v, reduced = _basis(m, n, flows, cost)
+        else:
+            tree = _Tree(m, n, flows)
     if pivot:
-        tree, u, v, reduced = _basis(m, n, flows, cost)
         _pivot(tree, flows, cost, u, v, reduced, price_tol, degen_tol, max_iter)
-    else:
-        tree = _Tree(m, n, flows)
 
     # Spanning-tree check and optimality certificate from a full rebuild:
     # every reduced cost nonnegative (up to noise).
-    tree.rebuild(cost, u, v)
+    u, v = tree.rebuild(cost)
     worst = float(np.min(cost - u[:, None] - v[None, :]))
     if worst < -100 * price_tol:
         raise SimplexError(f"returned basis is not optimal (reduced cost {worst})")
     if warm is not None:
-        warm.keep(supply, demand, flows)
+        warm.keep(supply, demand, flows, tree)
 
     positive = {divmod(arc, n): f for arc, f in flows.items() if f > 0.0}
     value = math.fsum(cost[i, j] * f for (i, j), f in positive.items())

@@ -107,12 +107,15 @@ def _load_lifted(path: str | Path) -> LiftedMeasure:
 def _build_velocity(spec: dict):
     kind = spec.get("type")
     if kind == "constant":
-        value = tuple(float(c) for c in spec["value"])
+        value = spec.get("value")
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"constant velocity needs a value list, got {value!r}")
+        value = tuple(_number(c, "velocity value") for c in value)
         return (lambda x: value), max(abs(c) for c in value)
     if kind == "identity":
         return (lambda x: x), None
     if kind == "scale":
-        factor = float(spec["factor"])
+        factor = _number(spec.get("factor"), "factor")
         return (lambda x: factor * np.asarray(x)), None
     raise ConfigError(f"unknown velocity type {kind!r}")
 
@@ -123,13 +126,12 @@ def _build_pvf(spec: dict | None, constants: dict) -> PvfSpec | None:
     kind = spec.get("kind")
     if kind == "deterministic":
         velocity, bound = _build_velocity(spec.get("velocity", {}))
-        c = float(spec.get("C", constants.get("C", 1.0)))
+        c = _number(spec.get("C", constants.get("C", 1.0)), "C")
         if c <= 0:
             raise ConfigError("growth constant C must be positive")
-        declared_bound = spec.get("velocity_bound", bound)
-        return PvfSpec.deterministic(
-            velocity, c, None if declared_bound is None else float(declared_bound)
-        )
+        declared = spec.get("velocity_bound", bound)
+        declared = None if declared is None else _number(declared, "velocity_bound")
+        return PvfSpec.deterministic(velocity, c, declared)
     if kind == "diffusion1d":
         table = spec.get("phi")
         if not table:
@@ -140,7 +142,7 @@ def _build_pvf(spec: dict | None, constants: dict) -> PvfSpec | None:
         except ValueError as err:
             raise ConfigError(f"bad phi table: {err}") from None
         c = spec.get("C", constants.get("C"))
-        return PvfSpec.diffusion1d(phi, q, None if c is None else float(c))
+        return PvfSpec.diffusion1d(phi, q, None if c is None else _number(c, "C"))
     raise ConfigError(f"unknown pvf kind {kind!r}")
 
 
@@ -198,7 +200,7 @@ def _build_problem(config: dict, config_dir: Path) -> ProblemSpec:
     if "source" in config:
         src = _build_source(config["source"], constants, config_dir)
         if src is not None and "L" in constants:
-            src = replace(src, lipschitz_constant=float(constants["L"]))
+            src = replace(src, lipschitz_constant=_number(constants["L"], "L"))
         problem = replace(problem, src=src, reference=None)
     return problem
 
@@ -218,13 +220,12 @@ def _final_time(config: dict, args) -> float:
 
 
 def _positive_int(value, name: str) -> int:
-    try:
-        n = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be an integer") from None
-    if n < 1:
-        raise ConfigError(f"{name} must be >= 1, got {n}")
-    return n
+    """A config integer >= 1: a JSON integer, not a bool, float or string."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value}")
+    return value
 
 
 def _flag(config: dict, name: str) -> bool:
@@ -339,11 +340,16 @@ def cmd_distance(args) -> int:
 def cmd_convergence(args) -> int:
     config, config_dir = _load_config(args)
     problem = _build_problem(config, config_dir)
-    levels = config.get("N_list", args.levels)
+    levels = config.get("N_list")
     if levels is None:
-        raise ConfigError("missing N_list (config) or --levels")
-    if isinstance(levels, str):
-        levels = [part for part in levels.split(",") if part]
+        if args.levels is None:
+            raise ConfigError("missing N_list (config) or --levels")
+        try:
+            levels = [int(part) for part in args.levels.split(",") if part]
+        except ValueError:
+            raise ConfigError(f"--levels must list integers, got {args.levels!r}") from None
+    elif not isinstance(levels, list):
+        raise ConfigError(f"N_list must be a list of integers, got {levels!r}")
     levels = [_positive_int(n, "level") for n in levels]
     if len(set(levels)) < 3:
         raise ConfigError("convergence needs at least 3 distinct levels")

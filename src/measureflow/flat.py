@@ -22,7 +22,7 @@ import numpy as np
 from ._simplex import WarmStart, solve_transport
 from .errors import DimensionMismatch
 from .measures import WEIGHT_FLOOR, DiscreteMeasure, SignedDecomposition
-from .wasserstein import TransportPlan, lipschitz_values, signed_integral, wasserstein1
+from .wasserstein import TransportPlan, _distances, lipschitz_values, signed_integral, wasserstein1
 
 # Fast path: equal masses with all support points strictly closer than the
 # removal threshold 2 means the optimum removes nothing and W^g = W1.
@@ -100,10 +100,7 @@ def generalized_wasserstein(
         )
 
     mass1, mass2 = m1.mass(), m2.mass()
-    x = m1.positions_array()
-    y = m2.positions_array()
-    diff = x[:, None, :] - y[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    dist = _distances(m1.positions_array(), m2.positions_array())
     if (
         abs(mass1 - mass2) <= _EQUAL_MASS_TOL * max(1.0, mass1, mass2)
         and float(dist.max()) < _FULL_TRANSPORT_DIAMETER

@@ -1,7 +1,12 @@
 """Exact 1-Wasserstein distance between equal-mass atomic measures.
 
 The LP route is the purpose-built network simplex on the bipartite atom
-graph; the closed-form CDF integral in one dimension is kept strictly
+graph, over all atoms of both measures.  Atoms the two measures share need
+no special case: their arcs cost 0, the solver's matrix-minimum start takes
+them first, and an optimal plan may keep their shared mass in place.  So
+the supplies and demands are the measures' weights as they stand, and a
+warm-start carrier fits every solve of a sequence whose weights do not
+change.  The closed-form CDF integral in one dimension is kept strictly
 separate so it can serve as an independent oracle for the LP.
 """
 
@@ -52,32 +57,10 @@ class TransportPlan:
         return [[i, j, f] for i, j, f in self.entries]
 
 
-def _cancel_common_atoms(m1: DiscreteMeasure, m2: DiscreteMeasure):
-    """Remove shared mass at identical positions (free diagonal transport).
-
-    Returns residual atom lists ``[(orig_index, pos, weight)]`` for both
-    sides plus the diagonal plan entries.  Cancelling never changes the W1
-    optimum for p = 1.
-    """
-    w2 = {pos: (j, w) for j, (pos, w) in enumerate(m2.atoms)}
-    residual1, diagonal = [], []
-    consumed: dict[int, float] = {}
-    for i, (pos, w) in enumerate(m1.atoms):
-        if pos in w2:
-            j, wj = w2[pos]
-            shared = min(w, wj)
-            if shared > 0:
-                diagonal.append((i, j, shared))
-                consumed[j] = shared
-                w -= shared
-        if w > 1e-15:
-            residual1.append((i, pos, w))
-    residual2 = []
-    for j, (pos, w) in enumerate(m2.atoms):
-        w -= consumed.get(j, 0.0)
-        if w > 1e-15:
-            residual2.append((j, pos, w))
-    return residual1, residual2, diagonal
+def _distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of ``x`` and those of ``y``."""
+    diff = x[:, None, :] - y[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
 
 
 def wasserstein1(
@@ -98,23 +81,12 @@ def wasserstein1(
     if m1.is_empty and m2.is_empty:
         return 0.0, TransportPlan(entries=(), cost=0.0)
 
-    residual1, residual2, diagonal = _cancel_common_atoms(m1, m2)
-    entries = list(diagonal)
-    if residual1 and residual2:
-        supplies = np.array([w for _, _, w in residual1])
-        demands = np.array([w for _, _, w in residual2])
-        x = np.array([pos for _, pos, _ in residual1])
-        y = np.array([pos for _, pos, _ in residual2])
-        diff = x[:, None, :] - y[None, :, :]
-        cost = np.sqrt(np.sum(diff * diff, axis=2))
-        _, flows = solve_transport(supplies, demands, cost, warm=warm)
-        for (a, b), f in sorted(flows.items()):
-            entries.append((residual1[a][0], residual2[b][0], f))
-    pos1 = {i: pos for i, (pos, _) in enumerate(m1.atoms)}
-    pos2 = {j: pos for j, (pos, _) in enumerate(m2.atoms)}
-    cost_total = math.fsum(
-        f * math.dist(pos1[i], pos2[j]) for i, j, f in entries
-    )
+    cost = _distances(m1.positions_array(), m2.positions_array())
+    _, flows = solve_transport(m1.weights_array(), m2.weights_array(), cost, warm=warm)
+    entries = [(i, j, f) for (i, j), f in sorted(flows.items())]
+    pos1 = [pos for pos, _ in m1.atoms]
+    pos2 = [pos for pos, _ in m2.atoms]
+    cost_total = math.fsum(f * math.dist(pos1[i], pos2[j]) for i, j, f in entries)
     return cost_total, TransportPlan(entries=tuple(entries), cost=cost_total)
 
 

@@ -6,7 +6,9 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from measureflow.errors import SupportOverflow
+from measureflow.fields import PvfSpec
 from measureflow.measures import DiscreteMeasure, LiftedMeasure
+from measureflow.problems import ProblemSpec
 
 settings.register_profile(
     "suite",
@@ -58,6 +60,18 @@ def random_measure(rng, n_atoms, dim=1, span=5.0, unit=None):
             w = unit * int(rng.integers(1, 4))
         atoms.append((pos, w))
     return DiscreteMeasure.from_atoms(atoms, dim=dim)
+
+
+def drift2d(seed: int, n: int = 15) -> ProblemSpec:
+    """n equal atoms in [-1, 1]^2 under the drift x' = x."""
+    rng = np.random.default_rng(seed)
+    points = np.round(rng.uniform(-1.0, 1.0, (n, 2)), 9).tolist()
+    return ProblemSpec(
+        name="drift2d",
+        initial=DiscreteMeasure.from_atoms([(p, 1.0 / n) for p in points]),
+        pvf=PvfSpec.deterministic(lambda x: x, growth_constant=1.0),
+        src=None,
+    )
 
 
 def random_lifted(rng, n_atoms, dim=1, span=3.0, vspan=2.0, weights=None):

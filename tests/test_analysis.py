@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import drift2d
 from measureflow.analysis import (
     TestFunction,
     convergence_study,
@@ -18,7 +19,7 @@ from measureflow.fields import PvfSpec
 from measureflow.flat import generalized_wasserstein
 from measureflow.lattice import LatticeGrid, run_semigroup
 from measureflow.measures import DiscreteMeasure
-from measureflow.problems import ProblemSpec, builtin_problem
+from measureflow.problems import builtin_problem
 from measureflow.wasserstein import wasserstein1
 
 d = DiscreteMeasure.dirac
@@ -132,6 +133,15 @@ class TestWeakResidual:
             weak_residual(traj, f, t=1.0)  # t + h leaves the span
 
 
+def _spy_fits(monkeypatch) -> list[bool]:
+    """Log of ``WarmStart.fits`` results: one per solve given a carrier."""
+    hits = []
+    fits = WarmStart.fits
+    monkeypatch.setattr(WarmStart, "fits",
+                        lambda self, a, b: hits.append(fits(self, a, b)) or hits[-1])
+    return hits
+
+
 class TestConvergenceStudy:
     def test_translate_reference_distances_vanish(self):
         report = convergence_study(builtin_problem("translate"), [4, 8, 16], 1.0)
@@ -181,20 +191,9 @@ class TestConvergenceStudy:
     @pytest.mark.parametrize("metric", ["gw", "w1"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_pair_distances_equal_a_cold_loop(self, monkeypatch, seed, metric):
-        rng = np.random.default_rng(seed)
-        n = 15
-        points = np.round(rng.uniform(-1.0, 1.0, (n, 2)), 9).tolist()
-        problem = ProblemSpec(
-            name="drift2d",
-            initial=DiscreteMeasure.from_atoms([(p, 1.0 / n) for p in points]),
-            pvf=PvfSpec.deterministic(lambda x: x, growth_constant=1.0),
-            src=None,
-        )
+        problem = drift2d(seed)
         levels = (4, 8, 16)
-        warm_hits = []
-        fits = WarmStart.fits
-        monkeypatch.setattr(WarmStart, "fits",
-                            lambda self, a, b: warm_hits.append(fits(self, a, b)) or warm_hits[-1])
+        warm_hits = _spy_fits(monkeypatch)
         report = convergence_study(problem, levels, 1.0, metric=metric, adaptive_extent=True)
         assert any(warm_hits)  # some solves started from the previous basis
 
@@ -210,6 +209,17 @@ class TestConvergenceStudy:
                        for k in range(nc + 1))
             assert (nc, nf) == (coarse.grid.N, fine.grid.N)
             assert sup == pytest.approx(cold, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_w1_study_starts_cold_once_per_level_pair(self, monkeypatch, seed):
+        # shared atoms were cancelled, which changed the residual supplies
+        # and demands from one time to the next: 6 to 11 cold solves here
+        warm_hits = _spy_fits(monkeypatch)
+        report = convergence_study(drift2d(seed), (4, 8, 16, 32), 1.0, metric="w1",
+                                   adaptive_extent=True)
+        assert len(report.pair_distances) == 3
+        assert warm_hits.count(False) == 3
+        assert warm_hits.count(True) >= 20
 
     def test_csv_rows_shape(self):
         report = convergence_study(builtin_problem("translate"), [4, 8, 16], 1.0)

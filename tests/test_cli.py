@@ -168,6 +168,27 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: ConfigError: ")
 
+    @pytest.mark.parametrize("config", [
+        # each of these exited 1 with a ValueError or KeyError traceback
+        {"pvf": {"kind": "deterministic", "velocity": {"type": "identity"}, "C": "abc"}},
+        {"pvf": {"kind": "deterministic", "velocity": {"type": "constant"}}},
+        {"source": {"kind": "proportional", "rate": 0.5, "R": 2.0}, "constants": {"L": "x"}},
+        {"pvf": {"kind": "deterministic", "velocity": {"type": "scale"}}},
+        {"pvf": {"kind": "deterministic", "velocity": {"type": "identity"},
+                 "velocity_bound": "fast"}},
+    ], ids=["text_C", "constant_velocity_without_value", "text_L", "scale_without_factor",
+            "text_velocity_bound"])
+    def test_bad_field_config_exits_2(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "problem": "custom", "N": 4, "T": 1.0,
+            "initial_measure": {"dim": 1, "atoms": [[0.0, 1.0]]}, **config,
+        }))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("source", [
         # each of these exited 1 with a traceback
         {"kind": "proportional", "rate": 0.5, "R": 2.0, "carrier": {"radius": 1.0}},
@@ -284,6 +305,38 @@ def test_adaptive_extent_must_be_a_boolean(tmp_path, capsys, command, value):
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: ConfigError: adaptive_extent must be true or false, got {value!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config, message", [
+    # 4.9 ran at N=4, true at N=1 and "8" at N=8
+    ("simulate", {"N": 4.9}, "N must be an integer, got 4.9"),
+    ("simulate", {"N": True}, "N must be an integer, got True"),
+    ("simulate", {"N": "8"}, "N must be an integer, got '8'"),
+    ("validate", {"N": 4.9}, "N must be an integer, got 4.9"),
+    ("simulate", {"problem": "custom", "initial_measure": {"dim": 1, "atoms": [[0.0, 1.0]]},
+                  "pvf": {"kind": "diffusion1d", "phi": [[0.0, -0.5], [1.0, 0.5]], "q": 2.5}},
+     "q must be an integer, got 2.5"),
+    ("convergence", {"N_list": [2, 4.5, 8]}, "level must be an integer, got 4.5"),
+    ("convergence", {"N_list": [2, True, 8]}, "level must be an integer, got True"),
+    ("convergence", {"N_list": "2,4,8"}, "N_list must be a list of integers, got '2,4,8'"),
+], ids=["float_N", "bool_N", "text_N", "validate_float_N", "float_q", "float_level",
+        "bool_level", "text_N_list"])
+def test_config_integers_must_be_json_integers(tmp_path, capsys, command, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "translate", "N": 4, "T": 1.0, **config}))
+    out = tmp_path / "o.out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("levels", ["4,x,16", "4,8.5,16", "4,0,16"])
+def test_levels_option_must_list_positive_integers(tmp_path, capsys, levels):
+    out = tmp_path / "o.json"
+    assert main(["convergence", "--preset", "translate", "--levels", levels,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ConfigError: ")
     assert not out.exists()
 
 

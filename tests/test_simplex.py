@@ -8,8 +8,10 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
+from conftest import drift2d
 from measureflow import _simplex
 from measureflow._simplex import SimplexError, solve_transport
+from measureflow.analysis import convergence_study
 from measureflow.errors import MeasureflowError, SolverError
 
 _HIGHS_OPTIONS = {
@@ -654,6 +656,77 @@ def test_unfit_carrier_gives_the_cold_bits(change):
     want = solve_transport(supply, demand, cost)
     assert _hex_result(solve_transport(supply, demand, cost, warm=warm)) == _hex_result(want)
     assert warm.fits(supply, demand)  # the new basis was kept
+
+
+def _captured_sequences(metric: str) -> list[list[tuple]]:
+    """The (supply, demand, cost) of every solve of a convergence study, one
+    list per carrier, in call order."""
+    carriers, sequences = [], []
+
+    def spy(supply, demand, cost, *, warm=None, **kwargs):
+        if not carriers or carriers[-1] is not warm:  # the loops run one by one
+            carriers.append(warm)
+            sequences.append([])
+        sequences[-1].append((supply, demand, cost))
+        return solve_transport(supply, demand, cost, warm=warm, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("measureflow.wasserstein.solve_transport", spy)
+        patch.setattr("measureflow.flat.solve_transport", spy)
+        convergence_study(drift2d(8, 20), (4, 8, 16, 32), 1.0, metric=metric,
+                          adaptive_extent=True)
+    return sequences
+
+
+def _rebuilt_carrier(supply, demand, cost, basis):
+    """A carrier holding ``basis`` with its tree rebuilt from the dict
+    through ``_basis``: the oracle for a kept tree."""
+    m, n = cost.shape
+    flows = dict(basis)
+    carrier = _simplex.WarmStart()
+    carrier.keep(supply, demand, flows, _simplex._basis(m, n, flows, cost)[0])
+    return carrier
+
+
+@pytest.mark.parametrize("metric", ["w1", "gw"])
+def test_kept_tree_gives_the_bits_of_a_rebuilt_tree(metric):
+    sequences = _captured_sequences(metric)
+    warm_solves = 0
+    for sequence in sequences:
+        warm = _simplex.WarmStart()
+        for supply, demand, cost in sequence:
+            if warm.fits(supply, demand):
+                warm_solves += 1
+                m, n = cost.shape
+                # the kept order prices the tree to the bits of a fresh BFS
+                _, u, v, _ = _simplex._basis(m, n, dict(warm.basis), cost)
+                kept_u, kept_v = warm.tree.potentials(cost)
+                assert kept_u.tobytes() == u.tobytes()
+                assert kept_v.tobytes() == v.tobytes()
+                oracle = _rebuilt_carrier(supply, demand, cost, warm.basis)
+                want = _hex_result(solve_transport(supply, demand, cost, warm=oracle))
+                got = _hex_result(solve_transport(supply, demand, cost, warm=warm))
+                assert got == want
+                assert _hex_items(warm.basis) == _hex_items(oracle.basis)
+            else:
+                solve_transport(supply, demand, cost, warm=warm)
+    assert len(sequences) == 3 and warm_solves >= 25
+
+
+def test_failed_solve_empties_the_carrier():
+    rng = np.random.default_rng(62)
+    x, y = rng.uniform(0, 1, (30, 2)), rng.uniform(0, 1, (25, 2))
+    supply, demand = _weights(rng, 30, 1.0), _weights(rng, 25, 1.0)
+    warm = _simplex.WarmStart()
+    solve_transport(supply, demand, _distances(x, y), warm=warm)
+    assert warm.fits(supply, demand)
+    cost = _distances(rng.uniform(0, 1, (30, 2)), y)  # far from the kept optimum
+    with pytest.raises(SimplexError, match="pivot limit"):
+        solve_transport(supply, demand, cost, max_iter=1, warm=warm)
+    assert not warm.fits(supply, demand)
+    assert warm.basis == {} and warm.tree is None
+    assert _hex_result(solve_transport(supply, demand, cost, warm=warm)) == _hex_result(
+        solve_transport(supply, demand, cost))
 
 
 def test_staircase_optimal_solve_fills_the_carrier(monkeypatch):

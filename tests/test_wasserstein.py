@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given
+from scipy.optimize import linprog
 
 from conftest import equal_mass_pairs_1d, random_measure
 from measureflow.errors import DimensionMismatch, LipschitzViolation, MassMismatch
@@ -108,6 +109,59 @@ class TestWasserstein1:
     def test_identity_of_indiscernibles(self, rng):
         m = random_measure(rng, 6)
         assert wasserstein1(m, m)[0] == 0.0
+
+
+def _shared_lattice_pair(rng, n: int, dim: int, equal_weights: bool):
+    """Two unit-mass measures of n atoms on the lattice (Z / 16)^dim that
+    share 30% to 70% of their atoms."""
+    side = 400 if dim == 1 else 40
+    cells = rng.choice(side**dim, size=2 * n, replace=False)
+    shared = int(rng.integers(math.ceil(0.3 * n), math.floor(0.7 * n) + 1))
+    measures = []
+    for chosen in (cells[:n], np.concatenate([cells[:shared], cells[n:2 * n - shared]])):
+        points = np.stack(np.unravel_index(chosen, (side,) * dim), axis=1) / 16.0 - 2.0
+        w = np.ones(n) if equal_weights else rng.uniform(0.2, 1.0, n)
+        w /= w.sum()
+        measures.append(DiscreteMeasure.from_atoms(
+            [(tuple(p), float(wi)) for p, wi in zip(points.tolist(), w)], dim=dim))
+    return measures, shared
+
+
+def _lp_w1(m1: DiscreteMeasure, m2: DiscreteMeasure) -> float:
+    """W1 as the dense transportation LP, solved by HiGHS."""
+    x, y = m1.positions_array(), m2.positions_array()
+    cost = np.sqrt(((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2))
+    m, n = cost.shape
+    res = linprog(
+        cost.reshape(-1),
+        A_eq=np.vstack([np.kron(np.eye(m), np.ones((1, n))), np.kron(np.ones((1, m)), np.eye(n))]),
+        b_eq=np.concatenate([m1.weights_array(), m2.weights_array()]),
+        bounds=(0, None),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+class TestSharedAtoms:
+    """Lattice states that share atoms are solved on all their atoms."""
+
+    @pytest.mark.parametrize("equal_weights", [True, False])
+    @pytest.mark.parametrize("n", [60, 90])
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_value_and_marginals(self, seed, dim, n, equal_weights):
+        rng = np.random.default_rng([seed, dim, n, equal_weights])
+        (m1, m2), shared = _shared_lattice_pair(rng, n, dim, equal_weights)
+        common = {pos for pos, _ in m1.atoms} & {pos for pos, _ in m2.atoms}
+        assert len(common) == shared >= 0.3 * n
+        value, plan = wasserstein1(m1, m2)
+        want = wasserstein1_1d(m1, m2) if dim == 1 else _lp_w1(m1, m2)
+        assert abs(value - want) <= (1e-12 if dim == 1 else 1e-9) * want
+        assert value == plan.cost
+        assert plan.row_sums(n) == pytest.approx(list(m1.weights()), rel=0, abs=1e-15)
+        assert plan.col_sums(n) == pytest.approx(list(m2.weights()), rel=0, abs=1e-15)
 
 
 class TestCdfOracle:
