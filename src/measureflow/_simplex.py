@@ -420,7 +420,6 @@ def solve_transport(
     demand,
     cost,
     *,
-    tol: float = 1e-12,
     max_iter: int | None = None,
     warm: WarmStart | None = None,
 ):
@@ -447,9 +446,9 @@ def solve_transport(
         raise ValueError("cost shape does not match supply/demand lengths")
 
     scale_c = 1.0 + float(np.max(np.abs(cost))) if cost.size else 1.0
-    price_tol = tol * scale_c
+    price_tol = 1e-12 * scale_c
     mass_scale = 1.0 + float(max(supply.sum(), demand.sum()))
-    degen_tol = tol * mass_scale
+    degen_tol = 1e-12 * mass_scale
 
     if max_iter is None:
         max_iter = 2000 + 60 * (m + n)

@@ -122,15 +122,13 @@ def weak_residual(
     traj: Trajectory,
     f: TestFunction,
     t: float,
-    h: float | None = None,
 ) -> float:
     """|forward difference of integral f dmu minus drift and source terms|.
 
     The time derivative uses the forward difference over [t, t+h] with
-    h = dt by default, matching the scheme's own increment.
+    h = dt, the scheme's own increment.
     """
-    if h is None:
-        h = traj.grid.dt
+    h = traj.grid.dt
     mu_t = traj.state_at(t)
     mu_th = traj.state_at(t + h)
     ddt = (mu_th.integrate(f) - mu_t.integrate(f)) / h
@@ -379,18 +377,17 @@ def rk4_flow(
     velocity: Callable[[np.ndarray], Sequence[float]],
     x0: Sequence[float],
     t: float,
-    steps: int = 2048,
 ) -> np.ndarray:
-    """Characteristic ODE flow of the velocity field, classic RK4."""
+    """Characteristic ODE flow of the velocity field, classic RK4, 2048 steps."""
     x = np.asarray(x0, dtype=float)
     if t == 0:
         return x
-    h = t / steps
+    h = t / 2048
 
     def v(y):
         return np.asarray(velocity(y), dtype=float)
 
-    for _ in range(steps):
+    for _ in range(2048):
         k1 = v(x)
         k2 = v(x + 0.5 * h * k1)
         k3 = v(x + 0.5 * h * k2)

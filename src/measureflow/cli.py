@@ -64,7 +64,7 @@ def _load_json(path: str | Path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or an integer of too many digits
         raise ConfigError(f"{path}: invalid JSON ({err})") from None
 
 
@@ -103,88 +103,107 @@ def _load_lifted(path: str | Path) -> LiftedMeasure:
 
 # -- config parsing -------------------------------------------------------------
 
+# The keys each config object may hold, per kind where a key names the kind:
+# any other key exits 2, so a misspelt key never runs another problem.
+_CONFIG_KEYS = ("problem", "initial_measure", "pvf", "source", "N", "T", "N_list",
+                "metric", "adaptive_extent", "seed")
+_VELOCITY_KEYS = {"constant": ("type", "value"), "identity": ("type",),
+                  "scale": ("type", "factor")}
+_PVF_KEYS = {"deterministic": ("kind", "velocity", "C", "velocity_bound"),
+             "diffusion1d": ("kind", "phi", "q")}
+_SOURCE_KEYS = {"constant": ("kind", "measure", "R"),
+                "proportional": ("kind", "rate", "R", "carrier")}
+_CARRIER_KEYS = ("center", "radius")
 
-def _build_velocity(spec: dict):
-    kind = spec.get("type")
-    if kind == "constant":
-        value = spec.get("value")
-        if not isinstance(value, list) or not value:
-            raise ConfigError(f"constant velocity needs a value list, got {value!r}")
-        value = tuple(_number(c, "velocity value") for c in value)
+
+def _object(spec, name: str, keys, tag: str | None = None) -> dict:
+    """``spec`` as a config object: a JSON object with no key outside
+    ``keys``, or outside ``keys[spec[tag]]`` when its ``tag`` names its kind."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {spec!r}")
+    if tag is not None:
+        kind = spec.get(tag)
+        if not isinstance(kind, str) or kind not in keys:
+            raise ConfigError(f"unknown {name} {tag} {kind!r}")
+        name, keys = f"{kind} {name}", keys[kind]
+    for key in spec:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in {name} (allowed: {', '.join(keys)})")
+    return spec
+
+
+def _build_velocity(spec):
+    spec = _object(spec, "velocity", _VELOCITY_KEYS, "type")
+    if spec["type"] == "constant":
+        value = _numbers(spec.get("value"), "velocity value")
         return (lambda x: value), max(abs(c) for c in value)
-    if kind == "identity":
+    if spec["type"] == "identity":
         return (lambda x: x), None
-    if kind == "scale":
-        factor = _number(spec.get("factor"), "factor")
-        return (lambda x: factor * np.asarray(x)), None
-    raise ConfigError(f"unknown velocity type {kind!r}")
+    factor = _number(spec.get("factor"), "factor")
+    return (lambda x: factor * np.asarray(x)), None
 
 
-def _build_pvf(spec: dict | None, constants: dict) -> PvfSpec | None:
-    if spec is None:
-        return None
-    kind = spec.get("kind")
-    if kind == "deterministic":
+def _build_pvf(spec) -> PvfSpec:
+    spec = _object(spec, "pvf", _PVF_KEYS, "kind")
+    if spec["kind"] == "deterministic":
         velocity, bound = _build_velocity(spec.get("velocity", {}))
-        c = _number(spec.get("C", constants.get("C", 1.0)), "C")
-        if c <= 0:
+        c = _number(spec.get("C", 1.0), "C")
+        if not c > 0:  # NaN too
             raise ConfigError("growth constant C must be positive")
-        declared = spec.get("velocity_bound", bound)
-        declared = None if declared is None else _number(declared, "velocity_bound")
-        return PvfSpec.deterministic(velocity, c, declared)
-    if kind == "diffusion1d":
-        table = spec.get("phi")
-        if not table:
-            raise ConfigError("diffusion1d needs a phi breakpoint table")
-        q = _positive_int(spec.get("q", spec.get("quadrature_points", 8)), "q")
-        try:
-            phi = PiecewiseLinear.from_table(table)
-        except ValueError as err:
-            raise ConfigError(f"bad phi table: {err}") from None
-        c = spec.get("C", constants.get("C"))
-        return PvfSpec.diffusion1d(phi, q, None if c is None else _number(c, "C"))
-    raise ConfigError(f"unknown pvf kind {kind!r}")
+        if "velocity_bound" in spec:
+            bound = _number(spec["velocity_bound"], "velocity_bound")
+        return PvfSpec.deterministic(velocity, c, bound)
+    table = spec.get("phi")
+    if not isinstance(table, list) or not table:
+        raise ConfigError("diffusion1d needs a phi breakpoint table")
+    q = _positive_int(spec.get("q", 8), "q")
+    try:
+        phi = PiecewiseLinear.from_table(_numbers(row, "phi row") for row in table)
+    except ValueError as err:
+        raise ConfigError(f"bad phi table: {err}") from None
+    return PvfSpec.diffusion1d(phi, q)
 
 
-def _build_source(
-    spec: dict | None, constants: dict, config_dir: Path
-) -> SourceSpec | None:
-    if spec is None:
-        return None
-    kind = spec.get("kind")
-    if kind == "constant":
+def _build_carrier(spec) -> Ball:
+    spec = _object(spec, "carrier", _CARRIER_KEYS)
+    center = _numbers(spec.get("center"), "carrier center")
+    radius = _number(spec.get("radius"), "carrier radius")
+    try:
+        return Ball(center=center, radius=radius)
+    except ValueError as err:
+        raise ConfigError(f"bad carrier ({err})") from None
+
+
+def _build_source(spec, config_dir: Path) -> SourceSpec:
+    spec = _object(spec, "source", _SOURCE_KEYS, "kind")
+    if spec["kind"] == "constant":
         measure = spec.get("measure")
         if not isinstance(measure, (str, dict)):
             raise ConfigError("constant source needs a measure (inline or path)")
         sigma = _config_measure(measure, config_dir)
-        radius = spec.get("R")
+        radius = _number(spec["R"], "R") if "R" in spec else None
         try:
-            return SourceSpec.constant(sigma, None if radius is None else _number(radius, "R"))
+            return SourceSpec.constant(sigma, radius)
         except ValueError as err:
             raise ConfigError(str(err)) from None
-    if kind == "proportional":
-        rate = _number(spec.get("rate", 0.0), "rate")
-        radius = _number(spec.get("R", 1.0), "R")
-        carrier = spec.get("carrier")
-        try:
-            ball = None if carrier is None else Ball(
-                center=tuple(float(c) for c in carrier["center"]),
-                radius=float(carrier["radius"]),
-            )
-            return SourceSpec.proportional(rate, radius, ball)
-        except (KeyError, TypeError, ValueError) as err:  # a carrier of the wrong shape too
-            raise ConfigError(f"bad proportional source ({type(err).__name__}: {err})") from None
-    raise ConfigError(f"unknown source kind {kind!r}")
+    rate = _number(spec.get("rate", 0.0), "rate")
+    radius = _number(spec.get("R", 1.0), "R")
+    carrier = _build_carrier(spec["carrier"]) if "carrier" in spec else None
+    try:
+        return SourceSpec.proportional(rate, radius, carrier)
+    except ValueError as err:
+        raise ConfigError(f"bad proportional source ({err})") from None
 
 
 def _build_problem(config: dict, config_dir: Path) -> ProblemSpec:
     name = config.get("problem", "custom")
-    constants = config.get("constants", {})
+    if not isinstance(name, str):
+        raise ConfigError(f"problem must be a string, got {name!r}")
     if name in ("translate", "diffusion1d", "source-only"):
         problem = builtin_problem(name)
     else:
         problem = ProblemSpec(
-            name=str(name), initial=DiscreteMeasure.dirac([0.0]), pvf=None, src=None
+            name=name, initial=DiscreteMeasure.dirac([0.0]), pvf=None, src=None
         )
         if "pvf" not in config and "source" not in config:
             raise ConfigError(
@@ -194,22 +213,27 @@ def _build_problem(config: dict, config_dir: Path) -> ProblemSpec:
     if "initial_measure" in config:
         problem = problem.with_initial(_config_measure(config["initial_measure"], config_dir))
     if "pvf" in config:
-        problem = replace(
-            problem, pvf=_build_pvf(config["pvf"], constants), reference=None
-        )
+        problem = replace(problem, pvf=_build_pvf(config["pvf"]), reference=None)
     if "source" in config:
-        src = _build_source(config["source"], constants, config_dir)
-        if src is not None and "L" in constants:
-            src = replace(src, lipschitz_constant=_number(constants["L"], "L"))
-        problem = replace(problem, src=src, reference=None)
+        problem = replace(problem, src=_build_source(config["source"], config_dir), reference=None)
     return problem
 
 
 def _number(value, name: str) -> float:
+    """A config number: a JSON integer or float, not a bool or string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    except OverflowError:  # an integer past the float range
+        raise ConfigError(f"{name} must be a number in the float range, got {value}") from None
+
+
+def _numbers(value, name: str) -> tuple[float, ...]:
+    """A config list of numbers: a non-empty JSON array."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{name} must be a non-empty list of numbers, got {value!r}")
+    return tuple(_number(c, name) for c in value)
 
 
 def _final_time(config: dict, args) -> float:
@@ -246,7 +270,7 @@ def _load_config(args) -> tuple[dict, Path]:
     config = _load_json(path)
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    return config, path.parent
+    return _object(config, "config", _CONFIG_KEYS), path.parent
 
 
 # -- subcommands -------------------------------------------------------------------

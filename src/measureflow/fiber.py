@@ -200,14 +200,13 @@ def fiber_wg(V1: LiftedMeasure, V2: LiftedMeasure, eps_opt: float | None = None)
     return fiber_wg_solution(V1, V2, eps_opt)[0]
 
 
-def check_ww_inequalities(
-    V1: LiftedMeasure, V2: LiftedMeasure, tol: float = 1e-7
-) -> bool:
+def check_ww_inequalities(V1: LiftedMeasure, V2: LiftedMeasure) -> bool:
     """Check the chain inequalities relating base, fiber and joint costs.
 
     Always checks W^g(V1, V2) <= fiber_wg(V1, V2) + W^g(pi#V1, pi#V2);
     when masses are equal also checks the balanced analogue with W1 and
-    fiber_w.  Both must hold for a correct solver; False signals a bug.
+    fiber_w, each up to 1e-7 relative.  Both must hold for a correct
+    solver; False signals a bug.
     """
     J1, J2 = V1.as_joint(), V2.as_joint()
     B1, B2 = V1.base_projection(), V2.base_projection()
@@ -216,11 +215,11 @@ def check_ww_inequalities(
     rhs_g = math.fsum(
         [fiber_wg(V1, V2), generalized_wasserstein(B1, B2).distance]
     )
-    ok = lhs_g <= rhs_g + tol * (1.0 + abs(rhs_g))
+    ok = lhs_g <= rhs_g + 1e-7 * (1.0 + abs(rhs_g))
 
     mass1, mass2 = V1.mass(), V2.mass()
     if abs(mass1 - mass2) <= MASS_TOL * max(1.0, mass1, mass2):
         lhs_w, _ = wasserstein1(J1, J2)
         rhs_w = math.fsum([fiber_w(V1, V2), wasserstein1(B1, B2)[0]])
-        ok = ok and lhs_w <= rhs_w + tol * (1.0 + abs(rhs_w))
+        ok = ok and lhs_w <= rhs_w + 1e-7 * (1.0 + abs(rhs_w))
     return ok

@@ -127,18 +127,16 @@ class PvfSpec:
         cls,
         phi: PiecewiseLinear | Iterable[Sequence[float]],
         quadrature_points: int = 8,
-        growth_constant: float | None = None,
     ) -> "PvfSpec":
+        """Growth constant and speed bound: phi's largest |value| (C >= 1e-9)."""
         if not isinstance(phi, PiecewiseLinear):
             phi = PiecewiseLinear.from_table(phi)
         if quadrature_points < 1:
             raise ValueError("quadrature_points must be >= 1")
         bound = phi.bound()
-        if growth_constant is None:
-            growth_constant = max(bound, 1e-9)
         return cls(
             kind="diffusion1d",
-            growth_constant=float(growth_constant),
+            growth_constant=float(max(bound, 1e-9)),
             phi=phi,
             quadrature_points=int(quadrature_points),
             velocity_bound=bound,
@@ -215,18 +213,16 @@ class PvfSpec:
             dim=mu.dim,
         )
 
-    def check_growth(self, mu: DiscreteMeasure, lifted: LiftedMeasure | None = None,
-                     slack: float = 1e-9) -> bool:
-        """Verify the sublinearity budget on the emitted velocities."""
-        if lifted is None:
-            lifted = self.evaluate(mu)
+    def check_growth(self, mu: DiscreteMeasure) -> bool:
+        """Verify the sublinearity budget on V[mu]'s velocities, to 1e-9 relative."""
+        lifted = self.evaluate(mu)
         if lifted.is_empty:
             return True
         sup_x = max(
             (max(abs(c) for c in pos) for pos, _ in mu.atoms), default=0.0
         )
         budget = self.growth_constant * (1.0 + sup_x)
-        return lifted.max_speed() <= budget * (1 + slack) + 1e-12
+        return lifted.max_speed() <= budget * (1 + 1e-9) + 1e-12
 
 
 # -- sources ----------------------------------------------------------------
@@ -271,13 +267,13 @@ class Ball:
 class SourceSpec:
     """A mass-creation map mu -> s[mu] with support in B(0, R).
 
-    ``lipschitz_constant`` is the declared budget L for
-    W^g(s[mu], s[nu]) <= L W^g(mu, nu); probes estimate it numerically.
+    The paper's existence theorem assumes a Lipschitz constant L with
+    W^g(s[mu], s[nu]) <= L W^g(mu, nu); ``probe_s1_lipschitz`` estimates it
+    on sample pairs.
     """
 
     kind: str
     support_radius: float
-    lipschitz_constant: float
     measure: DiscreteMeasure | None = None
     rate: float = 0.0
     carrier: Ball | None = None
@@ -301,7 +297,6 @@ class SourceSpec:
         return cls(
             kind="constant",
             support_radius=float(support_radius),
-            lipschitz_constant=0.0,
             measure=measure,
         )
 
@@ -311,9 +306,9 @@ class SourceSpec:
     ) -> "SourceSpec":
         """s[mu] = rate * mu restricted to B(0, R) and to the carrier ball.
 
-        The declared ``lipschitz_constant = rate`` holds only for measures
-        inside the open balls.  The cutoff at their boundaries is hard: two
-        unit Diracs a distance g apart on either side of |x| = R give
+        Its Lipschitz constant is ``rate`` only for measures inside the open
+        balls.  The cutoff at their boundaries is hard: two unit Diracs a
+        distance g apart on either side of |x| = R give
         W^g(s[mu], s[nu]) = rate against W^g(mu, nu) = g.
         """
         if not 0 <= rate < math.inf:
@@ -324,7 +319,6 @@ class SourceSpec:
         return cls(
             kind="proportional",
             support_radius=float(support_radius),
-            lipschitz_constant=float(rate),
             rate=float(rate),
             carrier=carrier,
         )
@@ -333,7 +327,6 @@ class SourceSpec:
     def custom(
         cls,
         evaluator: Callable[[DiscreteMeasure], DiscreteMeasure],
-        lipschitz_constant: float,
         support_radius: float,
     ) -> "SourceSpec":
         """s[mu] = evaluator(mu), called on every exact atom (sub-floor ones
@@ -341,7 +334,6 @@ class SourceSpec:
         return cls(
             kind="custom",
             support_radius=float(support_radius),
-            lipschitz_constant=float(lipschitz_constant),
             evaluator=evaluator,
         )
 

@@ -138,9 +138,9 @@ def integral_bound_check(
     f: Callable[[np.ndarray], float],
     m1: DiscreteMeasure,
     m2: DiscreteMeasure,
-    tol: float = 1e-9,
 ) -> bool:
-    """True iff integral of f d(m1-m2) <= max(sup|f|, Lip(f)) W^g(m1, m2) + tol.
+    """True iff integral of f d(m1-m2) <= max(sup|f|, Lip(f)) W^g(m1, m2),
+    up to 1e-9 relative.
 
     The inequality always holds for a correct solver; False signals a bug.
     Norms are evaluated over the union of supports.
@@ -151,4 +151,4 @@ def integral_bound_check(
     values, lip = lipschitz_values(f, points)
     lhs = signed_integral(values, m1, m2)
     bound = max([*np.abs(values).tolist(), lip]) * generalized_wasserstein(m1, m2).distance
-    return lhs <= bound + tol * (1.0 + abs(bound))
+    return lhs <= bound + 1e-9 * (1.0 + abs(bound))

@@ -81,14 +81,11 @@ def _dyadic(weights: Iterable[float]) -> tuple[np.ndarray, int]:
 
 
 def _canonical_atoms(
-    atoms: Iterable[tuple[Sequence[float], float]],
-    dim: int | None,
-    decimals: int,
-    floor: float,
+    atoms: Iterable[tuple[Sequence[float], float]], dim: int | None
 ) -> tuple[tuple[Position, float], ...]:
     groups: dict[Position, list[float]] = {}
     for position, weight in atoms:
-        pos = tuple(_quantize(c, decimals) for c in position)
+        pos = tuple(_quantize(c, POSITION_DECIMALS) for c in position)
         if not all(map(math.isfinite, pos)):
             raise ValueError(f"non-finite atom coordinate in {pos}")
         if dim is None:
@@ -106,9 +103,23 @@ def _canonical_atoms(
     merged = []
     for pos in sorted(groups):
         w = math.fsum(groups[pos])
-        if w >= floor:
+        if w >= WEIGHT_FLOOR:
             merged.append((pos, w))
     return tuple(merged)
+
+
+def _atom_rows(rows: Iterable[Sequence], dim, vectors: int) -> list[Sequence]:
+    """The atom rows of a measure file, checked: ``dim`` is an integer >= 1
+    and every row lists exactly ``vectors`` * dim + 1 numbers (a bool or a
+    string is not one), so no value is silently dropped or coerced."""
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
+    width = vectors * dim + 1
+    rows = list(rows)
+    for row in rows:
+        if len(row) != width or not all(type(v) in (int, float) for v in row):
+            raise ValueError(f"each atom row must list {width} numbers, got {row!r}")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -123,11 +134,8 @@ class DiscreteMeasure:
         cls,
         atoms: Iterable[tuple[Sequence[float], float]],
         dim: int | None = None,
-        *,
-        decimals: int = POSITION_DECIMALS,
-        floor: float = WEIGHT_FLOOR,
     ) -> "DiscreteMeasure":
-        canonical = _canonical_atoms(atoms, dim, decimals, floor)
+        canonical = _canonical_atoms(atoms, dim)
         if dim is None:
             if not canonical:
                 raise ValueError("dim is required for an empty measure")
@@ -220,19 +228,15 @@ class DiscreteMeasure:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DiscreteMeasure":
-        dim = int(data["dim"])
-        atoms = [(tuple(row[:dim]), row[dim]) for row in data["atoms"]]
-        return cls.from_atoms(atoms, dim=dim)
+        dim = data["dim"]
+        rows = _atom_rows(data["atoms"], dim, 1)
+        return cls.from_atoms(((row[:dim], row[dim]) for row in rows), dim=dim)
 
     @classmethod
     def from_csv(cls, text: str, dim: int) -> "DiscreteMeasure":
-        atoms = []
-        for row in csv.reader(text.strip().splitlines()):
-            if not row:
-                continue
-            values = [float(v) for v in row]
-            atoms.append((tuple(values[:dim]), values[dim]))
-        return cls.from_atoms(atoms, dim=dim)
+        rows = [[float(v) for v in row] for row in csv.reader(text.strip().splitlines()) if row]
+        rows = _atom_rows(rows, dim, 1)
+        return cls.from_atoms(((row[:dim], row[dim]) for row in rows), dim=dim)
 
 
 @dataclass(frozen=True)
@@ -247,9 +251,6 @@ class LiftedMeasure:
         cls,
         atoms: Iterable[tuple[Sequence[float], Sequence[float], float]],
         dim: int | None = None,
-        *,
-        decimals: int = POSITION_DECIMALS,
-        floor: float = WEIGHT_FLOOR,
     ) -> "LiftedMeasure":
         joined = []
         for base, velocity, weight in atoms:
@@ -260,7 +261,7 @@ class LiftedMeasure:
                     f"base dim {len(base)} != velocity dim {len(velocity)}"
                 )
             joined.append((base + velocity, weight))
-        canonical = _canonical_atoms(joined, None if dim is None else 2 * dim, decimals, floor)
+        canonical = _canonical_atoms(joined, None if dim is None else 2 * dim)
         if dim is None:
             if not canonical:
                 raise ValueError("dim is required for an empty lifted measure")
@@ -304,11 +305,9 @@ class LiftedMeasure:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LiftedMeasure":
-        dim = int(data["dim"])
-        atoms = [
-            (tuple(row[:dim]), tuple(row[dim : 2 * dim]), row[2 * dim])
-            for row in data["atoms"]
-        ]
+        dim = data["dim"]
+        rows = _atom_rows(data["atoms"], dim, 2)
+        atoms = ((row[:dim], row[dim : 2 * dim], row[2 * dim]) for row in rows)
         return cls.from_atoms(atoms, dim=dim)
 
 
@@ -326,10 +325,10 @@ class SignedDecomposition:
     def total_mass(self) -> float:
         return math.fsum([self.kept.mass(), self.removed_mass])
 
-    def dominated_by(self, original: DiscreteMeasure, tol: float = 1e-9) -> bool:
-        """True iff kept <= original atomwise (within tol) and masses add up."""
+    def dominated_by(self, original: DiscreteMeasure) -> bool:
+        """True iff kept <= original atomwise (within 1e-9) and masses add up."""
         original_weights = dict(original.atoms)
         for pos, w in self.kept.atoms:
-            if w > original_weights.get(pos, 0.0) + tol:
+            if w > original_weights.get(pos, 0.0) + 1e-9:
                 return False
-        return abs(self.total_mass() - original.mass()) <= tol * (1.0 + original.mass())
+        return abs(self.total_mass() - original.mass()) <= 1e-9 * (1.0 + original.mass())

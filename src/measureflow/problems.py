@@ -24,27 +24,24 @@ class ProblemSpec:
         return replace(self, initial=mu0, reference=None)
 
 
-def translate_problem(x0: float = 0.0, speed: float = 1.0) -> ProblemSpec:
-    """Constant-velocity transport of a unit Dirac; exact solution is the
-    translated Dirac."""
-    pvf = PvfSpec.deterministic(
-        lambda x: (speed,), growth_constant=max(abs(speed), 1e-9),
-        velocity_bound=abs(speed),
-    )
+def translate_problem() -> ProblemSpec:
+    """Unit-speed transport of a unit Dirac at the origin; exact solution is
+    the translated Dirac."""
+    pvf = PvfSpec.deterministic(lambda x: (1.0,), growth_constant=1.0, velocity_bound=1.0)
 
     def reference(t: float) -> DiscreteMeasure:
-        return DiscreteMeasure.dirac([x0 + speed * t])
+        return DiscreteMeasure.dirac([t])
 
     return ProblemSpec(
         name="translate",
-        initial=DiscreteMeasure.dirac([x0]),
+        initial=DiscreteMeasure.dirac([0.0]),
         pvf=pvf,
         src=None,
         reference=reference,
     )
 
 
-def diffusion1d_problem(quadrature_points: int = 8) -> ProblemSpec:
+def diffusion1d_problem() -> ProblemSpec:
     """Finite-speed diffusion of a unit Dirac through phi(s) = s - 1/2.
 
     No closed-form atomic reference; convergence is assessed through
@@ -53,7 +50,7 @@ def diffusion1d_problem(quadrature_points: int = 8) -> ProblemSpec:
     constant speed phi(s)).
     """
     phi = PiecewiseLinear.from_table([(0.0, -0.5), (1.0, 0.5)])
-    pvf = PvfSpec.diffusion1d(phi, quadrature_points=quadrature_points)
+    pvf = PvfSpec.diffusion1d(phi)
     return ProblemSpec(
         name="diffusion1d",
         initial=DiscreteMeasure.dirac([0.0]),

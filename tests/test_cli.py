@@ -62,6 +62,42 @@ class TestDistanceCommand:
         assert captured.err.startswith("error: ConfigError")
         assert "non-finite atom coordinate" in captured.err
 
+    @pytest.mark.parametrize("data", [
+        {"dim": 1.9, "atoms": [[1.0, 1.0]]},
+        {"dim": True, "atoms": [[1.0, 1.0]]},
+        {"dim": "1", "atoms": [[1.0, 1.0]]},
+        {"dim": 1, "atoms": [[1.0, 1.0, 5.0]]},
+        {"dim": 1, "atoms": [[1.0, True]]},
+        {"dim": 1, "atoms": [["1.0", 1.0]]},
+    ], ids=["float_dim", "bool_dim", "text_dim", "long_row", "bool_weight", "text_coordinate"])
+    def test_wrong_measure_schema_exits_2(self, tmp_path, capsys, data):
+        # each of these exited 0 with distance 1.0, in a file and inline
+        a = tmp_path / "a.json"
+        a.write_text(json.dumps(data))
+        b = write_measure(tmp_path / "b.json", [[0.0, 1.0]])
+        assert main(["distance", str(a), b]) == 2
+        assert capsys.readouterr().err.startswith(f"error: ConfigError: {a}: bad measure schema")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": "translate", "initial_measure": data}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: ConfigError: bad inline measure schema")
+
+    def test_wrong_lifted_schema_exits_2(self, tmp_path, capsys):
+        va = tmp_path / "va.json"
+        va.write_text(json.dumps({"dim": 1, "atoms": [[0.0, 0.0, 1.0, 5.0]]}))
+        vb = tmp_path / "vb.json"
+        vb.write_text(json.dumps({"dim": 1, "atoms": [[0.0, 0.0, 1.0]]}))
+        assert main(["distance", str(va), str(vb), "--metric", "fiber-w"]) == 2
+        assert "bad lifted-measure schema" in capsys.readouterr().err
+
+    def test_csv_rows_of_another_length_exit_2(self, tmp_path, capsys):
+        # the second row's extra value was dropped, and gw exited 0
+        a = tmp_path / "a.csv"
+        a.write_text("0.0,1.0\n1.0,1.0,5.0\n")
+        b = write_measure(tmp_path / "b.json", [[1.0, 1.0]])
+        assert main(["distance", str(a), b, "--metric", "gw"]) == 2
+        assert "must list 2 numbers" in capsys.readouterr().err
+
     def test_csv_measure_variant(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         a.write_text("0.0,1.0\n")
@@ -130,6 +166,13 @@ class TestSimulateCommand:
         cfg.write_text(json.dumps({"problem": "translate", "N": 0, "T": 1.0}))
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
 
+    def test_integer_past_the_digit_limit_exits_2(self, tmp_path, capsys):
+        # json.loads raised a bare ValueError (exit 1)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"problem": "translate", "N": ' + "9" * 5000 + "}")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: ConfigError: {cfg}: invalid JSON")
+
     def test_tight_extent_exits_3(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"problem": "translate", "N": 1, "T": 1.0}))
@@ -176,8 +219,8 @@ class TestSimulateCommand:
         {"pvf": {"kind": "deterministic", "velocity": {"type": "scale"}}},
         {"pvf": {"kind": "deterministic", "velocity": {"type": "identity"},
                  "velocity_bound": "fast"}},
-    ], ids=["text_C", "constant_velocity_without_value", "text_L", "scale_without_factor",
-            "text_velocity_bound"])
+    ], ids=["text_C", "constant_velocity_without_value", "retired_constants_block",
+            "scale_without_factor", "text_velocity_bound"])
     def test_bad_field_config_exits_2(self, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -338,6 +381,164 @@ def test_levels_option_must_list_positive_integers(tmp_path, capsys, levels):
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ConfigError: ")
     assert not out.exists()
+
+
+def _run_simulate(tmp_path, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    return main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+
+
+ONE_ATOM = {"dim": 1, "atoms": [[0.0, 1.0]]}
+PROPORTIONAL = {"kind": "proportional", "rate": 0.5, "R": 2.0}
+
+
+@pytest.mark.parametrize("config, key, where", [
+    ({"problem": "translate", "Tfinal": 2.0}, "Tfinal", "config"),
+    ({"pvf": {"kind": "deterministic", "velocity": {"type": "identity"}, "c": 1.0}},
+     "c", "deterministic pvf"),
+    ({"pvf": {"kind": "diffusion1d", "phi": [[0.0, -0.5], [1.0, 0.5]], "qq": 4}},
+     "qq", "diffusion1d pvf"),
+    ({"pvf": {"kind": "deterministic", "velocity": {"type": "constant", "values": [1.0]}}},
+     "values", "constant velocity"),
+    ({"pvf": {"kind": "deterministic", "velocity": {"type": "identity", "factor": 2.0}}},
+     "factor", "identity velocity"),
+    ({"pvf": {"kind": "deterministic", "velocity": {"type": "scale", "factr": 2.0}}},
+     "factr", "scale velocity"),
+    ({"source": {"kind": "constant", "measure": ONE_ATOM, "r": 1.0}}, "r", "constant source"),
+    # exited 0 with final_mass 1.0: no source ran
+    ({"source": {"kind": "proportional", "rates": 0.5}}, "rates", "proportional source"),
+    ({"source": {**PROPORTIONAL, "carrier": {"center": [0.0], "radius": 1.0, "r": 1.0}}},
+     "r", "carrier"),
+    # retired keys: an alias of the pvf's C, and an L that nothing read
+    ({"pvf": {"kind": "deterministic", "velocity": {"type": "identity"}},
+      "constants": {"C": 2.0}}, "constants", "config"),
+    # an alias of q
+    ({"pvf": {"kind": "diffusion1d", "phi": [[0.0, -0.5], [1.0, 0.5]],
+              "quadrature_points": 4}}, "quadrature_points", "diffusion1d pvf"),
+    # diffusion1d bounds its speed by phi, so no growth constant is read
+    ({"pvf": {"kind": "diffusion1d", "phi": [[0.0, -0.5], [1.0, 0.5]], "C": 2.0}},
+     "C", "diffusion1d pvf"),
+], ids=["top_level", "deterministic_pvf", "diffusion1d_pvf", "constant_velocity",
+        "identity_velocity", "scale_velocity", "constant_source", "proportional_source",
+        "carrier", "retired_constants", "retired_quadrature_points", "retired_diffusion1d_C"])
+def test_unknown_config_key_exits_2_and_names_it(tmp_path, capsys, config, key, where):
+    config = {"problem": "custom", "N": 4, "T": 1.0, "initial_measure": ONE_ATOM, **config}
+    assert _run_simulate(tmp_path, config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ConfigError: unknown key {key!r} in {where} (allowed: ")
+    assert err.count("\n") == 1
+
+
+# every key each config object allows, spread over one config per pvf kind
+# and velocity type, so no key a builder reads is missing from its key set
+EVERY_KEY_TOP = {"problem": "custom", "N": 4, "T": 0.5, "N_list": [2, 4, 8], "metric": "gw",
+                 "adaptive_extent": True, "seed": 0, "initial_measure": ONE_ATOM}
+EVERY_KEY_CONFIGS = {
+    "constant_velocity": {
+        "pvf": {"kind": "deterministic", "C": 1.0, "velocity_bound": 0.5,
+                "velocity": {"type": "constant", "value": [0.5]}},
+        "source": {**PROPORTIONAL, "carrier": {"center": [0.0], "radius": 1.0}},
+    },
+    "scale_velocity": {
+        "pvf": {"kind": "deterministic", "velocity": {"type": "scale", "factor": 0.5}},
+        "source": {"kind": "constant", "measure": {"dim": 1, "atoms": [[0.5, 0.25]]},
+                   "R": 1.0},
+    },
+    "identity_velocity": {"pvf": {"kind": "deterministic", "velocity": {"type": "identity"}}},
+    "diffusion1d": {"pvf": {"kind": "diffusion1d", "phi": [[0.0, -0.5], [2.0, 0.5]], "q": 4}},
+}
+
+
+def _pairs(objects, tag: str) -> set[tuple[str, str]]:
+    return {(obj[tag], key) for obj in objects for key in obj}
+
+
+def _table(kinds: dict) -> set[tuple[str, str]]:
+    return {(kind, key) for kind, keys in kinds.items() for key in keys}
+
+
+def test_every_allowed_key_is_used_below():
+    from measureflow import cli
+
+    configs = list(EVERY_KEY_CONFIGS.values())
+    pvfs = [config["pvf"] for config in configs]
+    sources = [config["source"] for config in configs if "source" in config]
+    assert set(EVERY_KEY_TOP) | {"pvf", "source"} == set(cli._CONFIG_KEYS)
+    assert _pairs(pvfs, "kind") == _table(cli._PVF_KEYS)
+    assert _pairs([pvf["velocity"] for pvf in pvfs if "velocity" in pvf],
+                  "type") == _table(cli._VELOCITY_KEYS)
+    assert _pairs(sources, "kind") == _table(cli._SOURCE_KEYS)
+    assert {key for source in sources for key in source.get("carrier", ())} == set(
+        cli._CARRIER_KEYS)
+
+
+@pytest.mark.parametrize("command", ["simulate", "convergence", "validate"])
+@pytest.mark.parametrize("name", sorted(EVERY_KEY_CONFIGS))
+def test_config_with_every_allowed_key_runs(tmp_path, command, name):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**EVERY_KEY_TOP, **EVERY_KEY_CONFIGS[name]}))
+    out = tmp_path / "o.out"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--no-timestamp"]) == 0
+
+
+def test_benchmark_configs_and_measures_parse(tmp_path, monkeypatch):
+    # the benchmark's generated inputs stay inside the closed key sets and
+    # the strict measure schema
+    from measureflow import cli
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+    parser = cli.build_parser()
+    for workload in workloads.WORKLOADS:
+        for op in workloads.make_pass(workload, 1, 0, "tiny", tmp_path / workload):
+            args = parser.parse_args(op.argv)
+            if op.command == "distance":
+                load = cli._load_measure if args.metric in ("w1", "gw") else cli._load_lifted
+                assert len(load(args.file_a)) and len(load(args.file_b))
+            else:
+                assert cli._build_problem(*cli._load_config(args)).initial.dim >= 1
+
+
+@pytest.mark.parametrize("config, message", [
+    # ran with T = 1.0, rate 1.0 and velocity 1.0
+    ({"problem": "translate", "T": True}, "T must be a number, got True"),
+    ({"source": {**PROPORTIONAL, "rate": True}}, "rate must be a number, got True"),
+    ({"pvf": {"kind": "deterministic", "velocity": {"type": "constant", "value": [True]}}},
+     "velocity value must be a number, got True"),
+    ({"source": {**PROPORTIONAL, "R": "2.0"}}, "R must be a number, got '2.0'"),
+    ({"pvf": {"kind": "diffusion1d", "phi": [[0.0, -0.5], [1.0, False]]}},
+     "bad phi table: phi row must be a number, got False"),
+    ({"source": {**PROPORTIONAL, "carrier": {"center": [True], "radius": 1.0}}},
+     "carrier center must be a number, got True"),
+    ({"problem": 3}, "problem must be a string, got 3"),
+    ({"problem": "translate", "T": 10**400}, "T must be a number in the float range"),
+    # ran with the growth envelope NaN, so its upfront check never fired
+    ({"pvf": {"kind": "deterministic", "velocity": {"type": "identity"}, "C": math.nan}},
+     "growth constant C must be positive"),
+], ids=["bool_T", "bool_rate", "bool_velocity", "text_R", "bool_phi", "bool_center",
+        "number_problem", "huge_T", "nan_C"])
+def test_config_numbers_must_be_json_numbers(tmp_path, capsys, config, message):
+    config = {"problem": "custom", "N": 4, "T": 1.0, "initial_measure": ONE_ATOM, **config}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ConfigError: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("config, message", [
+    # each exited 1 with AttributeError: ... has no attribute 'get'
+    ({"pvf": {"kind": "deterministic", "velocity": "identity"}},
+     "velocity must be a JSON object, got 'identity'"),
+    ({"pvf": "x"}, "pvf must be a JSON object, got 'x'"),
+    ({"source": [1]}, "source must be a JSON object, got [1]"),
+    ({"pvf": None}, "pvf must be a JSON object, got None"),
+], ids=["text_velocity", "text_pvf", "list_source", "null_pvf"])
+def test_config_object_of_another_type_exits_2(tmp_path, capsys, config, message):
+    config = {"problem": "custom", "N": 4, "T": 1.0, "initial_measure": ONE_ATOM, **config}
+    assert _run_simulate(tmp_path, config) == 2
+    assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
 
 
 class TestConvergenceCommand:

@@ -263,16 +263,14 @@ class TestSources:
 
     def test_custom_source_sees_every_row(self):
         seen = []
-        src = SourceSpec.custom(lambda mu: seen.append(mu) or mu,
-                                lipschitz_constant=1.0, support_radius=1.0)
+        src = SourceSpec.custom(lambda mu: seen.append(mu) or mu, support_radius=1.0)
         points, nums, den = src.created(*SUB_FLOOR_ROWS)
         assert seen[0].atoms == (((0.0,), 1.0), ((0.5,), 2.0**-60))
         assert points.tolist() == [[0.0], [0.5]]
         assert [Fraction(int(n), den) for n in nums] == [1, Fraction(1, 2**60)]
 
     def test_custom_source_of_another_dim_rejected(self):
-        src = SourceSpec.custom(lambda mu: d([0.0, 0.0]), lipschitz_constant=0.0,
-                                support_radius=1.0)
+        src = SourceSpec.custom(lambda mu: d([0.0, 0.0]), support_radius=1.0)
         with pytest.raises(DimensionMismatch):
             src.evaluate(d([0.0]))
 
@@ -285,16 +283,14 @@ class TestSources:
         with pytest.raises(ValueError):
             SourceSpec.constant(d([0.0]), radius)
         with pytest.raises(ValueError, match="must be nonnegative"):
-            SourceSpec.custom(lambda mu: mu, lipschitz_constant=1.0, support_radius=radius)
+            SourceSpec.custom(lambda mu: mu, support_radius=radius)
 
     def test_infinite_radius_allowed(self):
         src = SourceSpec.proportional(0.5, math.inf, carrier=Ball((0.0,), math.inf))
         assert src.evaluate(d([1e300])).atoms == (((1e300,), 0.5),)
 
     def test_custom_leak_detected(self):
-        src = SourceSpec.custom(
-            lambda mu: d([9.0]), lipschitz_constant=0.0, support_radius=1.0
-        )
+        src = SourceSpec.custom(lambda mu: d([9.0]), support_radius=1.0)
         with pytest.raises(ValueError):
             src.evaluate(d([0.0]))
 
@@ -365,9 +361,8 @@ class TestProbes:
         assert estimate <= rate + 1e-9
 
     def test_proportional_constant_holds_only_inside_the_ball(self, rng):
-        # lipschitz_constant = rate holds for measures inside B(0, R) ...
+        # the Lipschitz constant rate holds for measures inside B(0, R) ...
         src = SourceSpec.proportional(1.0, support_radius=1.0)
-        assert src.lipschitz_constant == 1.0
         pairs = [(random_measure(rng, 3, span=0.5), random_measure(rng, 3, span=0.5))
                  for _ in range(10)]
         assert probe_s1_lipschitz(src, pairs) <= 1.0 + 1e-9

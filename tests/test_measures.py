@@ -266,6 +266,32 @@ class TestSerialization:
         v = LiftedMeasure.from_atoms([([0.0], [1.5], 0.5), ([1.0], [-0.5], 0.5)])
         assert LiftedMeasure.from_dict(v.to_dict()) == v
 
+    # each of these read as a unit Dirac before: dim truncated or coerced,
+    # the extra value dropped, the bool or string taken as a number
+    @pytest.mark.parametrize("data", [
+        {"dim": 1.9, "atoms": [[1.0, 1.0]]},
+        {"dim": True, "atoms": [[1.0, 1.0]]},
+        {"dim": "1", "atoms": [[1.0, 1.0]]},
+        {"dim": 0, "atoms": [[1.0]]},
+        {"dim": 1, "atoms": [[1.0, 1.0, 5.0]]},
+        {"dim": 1, "atoms": [[1.0]]},
+        {"dim": 1, "atoms": [[1.0, True]]},
+        {"dim": 1, "atoms": [["1.0", 1.0]]},
+    ], ids=["float_dim", "bool_dim", "text_dim", "zero_dim", "long_row", "short_row",
+            "bool_weight", "text_coordinate"])
+    def test_from_dict_rejects_a_wrong_schema(self, data):
+        with pytest.raises(ValueError):
+            DiscreteMeasure.from_dict(data)
+
+    @pytest.mark.parametrize("row", [[0.0, 1.0], [0.0, 1.0, 1.0, 1.0], [0.0, False, 1.0]])
+    def test_lifted_from_dict_rejects_a_wrong_row(self, row):
+        with pytest.raises(ValueError, match="must list 3 numbers"):
+            LiftedMeasure.from_dict({"dim": 1, "atoms": [row]})
+
+    def test_from_csv_rejects_rows_of_another_length(self):
+        with pytest.raises(ValueError, match="must list 2 numbers"):
+            DiscreteMeasure.from_csv("0.0,1.0\n1.0,1.0,5.0\n", dim=1)
+
 
 class TestKernels:
     """The array kernels against their scalar oracles, bit for bit."""

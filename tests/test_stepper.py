@@ -251,7 +251,7 @@ def test_custom_source_sees_sub_floor_atoms():
         return d([0.0], 2.0**-48)
 
     pvf = PvfSpec.deterministic(lambda x: (1.0,), growth_constant=1.0, velocity_bound=1.0)
-    src = SourceSpec.custom(trail, lipschitz_constant=0.0, support_radius=1.0)
+    src = SourceSpec.custom(trail, support_radius=1.0)
     grid = LatticeGrid(N=8, dim=1)
     traj = run_semigroup(grid, d([0.0]), pvf, src, 4 / 8)
     assert seen == [1, 2, 3, 4]
