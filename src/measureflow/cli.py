@@ -152,7 +152,10 @@ def _build_pvf(spec) -> PvfSpec:
             raise ConfigError("growth constant C must be positive")
         if "velocity_bound" in spec:
             bound = _number(spec["velocity_bound"], "velocity_bound")
-        return PvfSpec.deterministic(velocity, c, bound)
+        try:
+            return PvfSpec.deterministic(velocity, c, bound)
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
     table = spec.get("phi")
     if not isinstance(table, list) or not table:
         raise ConfigError("diffusion1d needs a phi breakpoint table")
@@ -263,6 +266,7 @@ def _load_config(args) -> tuple[dict, Path]:
     if args.preset and args.config:
         raise ConfigError("give either --config or --preset, not both")
     if args.preset:
+        builtin_problem(args.preset)  # an unknown name exits 2, listing the presets
         return {"problem": args.preset}, Path.cwd()
     if not args.config:
         raise ConfigError("missing --config (or --preset)")

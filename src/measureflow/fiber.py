@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DimensionMismatch, MassMismatch, SolverError
 from .flat import generalized_wasserstein
 from .measures import LiftedMeasure
-from .wasserstein import MASS_TOL, TransportPlan, wasserstein1
+from .wasserstein import MASS_TOL, TransportPlan, _distances, wasserstein1
 
 _HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
@@ -72,11 +72,7 @@ def _pair_costs(V1: LiftedMeasure, V2: LiftedMeasure):
     v1 = np.array([vel for _, vel, _ in V1.atoms], dtype=float)
     x2 = np.array([base for base, _, _ in V2.atoms], dtype=float)
     v2 = np.array([vel for _, vel, _ in V2.atoms], dtype=float)
-    dbase = x1[:, None, :] - x2[None, :, :]
-    dvel = v1[:, None, :] - v2[None, :, :]
-    base_cost = np.sqrt(np.sum(dbase * dbase, axis=2))
-    fiber_cost = np.sqrt(np.sum(dvel * dvel, axis=2))
-    return base_cost, fiber_cost
+    return _distances(x1, x2), _distances(v1, v2)
 
 
 def _marginal_matrix(n1: int, n2: int):

@@ -32,6 +32,7 @@ import numpy as np
 from .errors import DimensionMismatch, ProfileRangeError
 from .flat import generalized_wasserstein
 from .measures import WEIGHT_FLOOR, DiscreteMeasure, LiftedMeasure, _dyadic, _ratios
+from .wasserstein import _distances
 
 
 def _rows_measure(positions: np.ndarray, nums: np.ndarray, den: int) -> DiscreteMeasure:
@@ -107,6 +108,10 @@ class PvfSpec:
     quadrature_points: int = 8
     evaluator: Callable[[DiscreteMeasure], LiftedMeasure] | None = None
     velocity_bound: float | None = None
+
+    def __post_init__(self):
+        if self.velocity_bound is not None and not self.velocity_bound >= 0:  # NaN too
+            raise ValueError(f"velocity bound must be nonnegative, got {self.velocity_bound}")
 
     @classmethod
     def deterministic(
@@ -253,7 +258,7 @@ class Ball:
         # rows that close to a finite bound, and inf or NaN norms, take the
         # scalar test.  Against an infinite bound the array test is exact.
         with np.errstate(over="ignore", invalid="ignore"):  # inf norms or radius
-            norms = np.sqrt(((points - self.center) ** 2).sum(axis=1))
+            norms = _distances(points, np.array([self.center]))[:, 0]
             inside = norms <= bound
             if bound == math.inf:
                 return inside

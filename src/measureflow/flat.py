@@ -22,7 +22,8 @@ import numpy as np
 from ._simplex import WarmStart, solve_transport
 from .errors import DimensionMismatch
 from .measures import WEIGHT_FLOOR, DiscreteMeasure, SignedDecomposition
-from .wasserstein import TransportPlan, _distances, lipschitz_values, signed_integral, wasserstein1
+from .wasserstein import (TransportPlan, _distances, _optimal_entries, lipschitz_values,
+                          signed_integral)
 
 # Fast path: equal masses with all support points strictly closer than the
 # removal threshold 2 means the optimum removes nothing and W^g = W1.
@@ -105,9 +106,8 @@ def generalized_wasserstein(
         abs(mass1 - mass2) <= _EQUAL_MASS_TOL * max(1.0, mass1, mass2)
         and float(dist.max()) < _FULL_TRANSPORT_DIAMETER
     ):
-        # removal can never beat transport here: route through balanced W1
-        _, plan = wasserstein1(m1, m2, warm)
-        return _solution_from_entries(m1, m2, list(plan.entries))
+        # removal can never beat transport here: a balanced W1 plan on dist
+        return _solution_from_entries(m1, m2, _optimal_entries(m1, m2, dist, warm))
 
     n1, n2 = len(m1.atoms), len(m2.atoms)
     supplies = np.concatenate([m1.weights_array(), [mass2]])

@@ -58,9 +58,24 @@ class TransportPlan:
 
 
 def _distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of ``x`` and those of ``y``."""
-    diff = x[:, None, :] - y[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    """Euclidean distances between the rows of ``x`` and those of ``y``
+    (zeros without coordinates).  The squared gaps are added one coordinate
+    at a time, in order, then square-rooted in place: the bits of
+    ``np.sqrt(np.sum(diff * diff, axis=-1))`` below 8 coordinates, where
+    numpy adds in that order (from 8 on it sums pairwise: an ulp apart)."""
+    squares = np.zeros((len(x), len(y)))
+    for c in range(x.shape[1]):
+        squares += (x[:, c, None] - y[None, :, c]) ** 2
+    return np.sqrt(squares, out=squares)
+
+
+def _optimal_entries(
+    m1: DiscreteMeasure, m2: DiscreteMeasure, cost: np.ndarray, warm: WarmStart | None
+) -> list[tuple[int, int, float]]:
+    """An optimal plan's (i, j, flow) entries, in (i, j) order, between two
+    non-empty measures of equal mass whose distance matrix is ``cost``."""
+    _, flows = solve_transport(m1.weights_array(), m2.weights_array(), cost, warm=warm)
+    return [(i, j, f) for (i, j), f in sorted(flows.items())]
 
 
 def wasserstein1(
@@ -82,8 +97,7 @@ def wasserstein1(
         return 0.0, TransportPlan(entries=(), cost=0.0)
 
     cost = _distances(m1.positions_array(), m2.positions_array())
-    _, flows = solve_transport(m1.weights_array(), m2.weights_array(), cost, warm=warm)
-    entries = [(i, j, f) for (i, j), f in sorted(flows.items())]
+    entries = _optimal_entries(m1, m2, cost, warm)
     pos1 = [pos for pos, _ in m1.atoms]
     pos2 = [pos for pos, _ in m2.atoms]
     cost_total = math.fsum(f * math.dist(pos1[i], pos2[j]) for i, j, f in entries)
@@ -166,7 +180,7 @@ def lipschitz_values(
     values = np.array([float(f(p)) for p in points], dtype=float)
     if sup_bound is not None and (np.abs(values) > sup_bound * (1 + LIP_SLACK) + 1e-12).any():
         raise LipschitzViolation(f"sup |f| = {np.abs(values).max()} exceeds bound {sup_bound}")
-    dist = np.sqrt(sum((c[:, None] - c[None, :]) ** 2 for c in points.T))
+    dist = _distances(points, points)
     gaps = np.abs(values[:, None] - values[None, :])
     far = dist > 1e-15
     lip = float((gaps[far] / dist[far]).max()) if far.any() else 0.0

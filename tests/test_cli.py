@@ -430,6 +430,34 @@ def test_unknown_config_key_exits_2_and_names_it(tmp_path, capsys, config, key, 
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("bound, code", [(-1.0, 2), (math.nan, 2), (0.0, 0)])
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+def test_velocity_bound_must_be_nonnegative(tmp_path, capsys, command, bound, code):
+    # -1 ran simulate to exit 0, and validate then failed its support_envelope check
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "problem": "custom", "N": 4, "T": 1.0, "initial_measure": {"dim": 1, "atoms": [[0.5, 1.0]]},
+        "pvf": {"kind": "deterministic", "velocity": {"type": "constant", "value": [0.0]},
+                "velocity_bound": bound},
+    }))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == code
+    if code == 2:
+        err = capsys.readouterr().err
+        assert err == f"error: ConfigError: velocity bound must be nonnegative, got {bound}\n"
+        assert not out.exists()
+
+
+def test_unknown_preset_exits_2_and_lists_the_presets(tmp_path, capsys):
+    # exited 2 saying that custom problems need a 'pvf' or a 'source'
+    assert main(["simulate", "--preset", "foo", "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "error: ConfigError: unknown preset 'foo'; available: translate, diffusion1d, source-only\n")
+    # in a config, any other name is a custom problem's
+    assert _run_simulate(tmp_path, {"problem": "foo", "N": 4, "T": 1.0, "initial_measure": ONE_ATOM,
+                                    "source": PROPORTIONAL}) == 0
+
+
 # every key each config object allows, spread over one config per pvf kind
 # and velocity type, so no key a builder reads is missing from its key set
 EVERY_KEY_TOP = {"problem": "custom", "N": 4, "T": 0.5, "N_list": [2, 4, 8], "metric": "gw",

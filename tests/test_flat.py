@@ -7,9 +7,10 @@ from hypothesis import given
 
 from conftest import measures_1d, random_measure
 from measureflow.errors import DimensionMismatch, LipschitzViolation
-from measureflow.flat import generalized_wasserstein, gw_dual_probe, integral_bound_check
+from measureflow.flat import (_solution_from_entries, generalized_wasserstein, gw_dual_probe,
+                              integral_bound_check)
 from measureflow.measures import WEIGHT_FLOOR, DiscreteMeasure
-from measureflow.wasserstein import wasserstein1
+from measureflow.wasserstein import _distances, _optimal_entries, wasserstein1
 
 d = DiscreteMeasure.dirac
 
@@ -208,6 +209,32 @@ def test_distance_matrix_built_once(monkeypatch):
     assert len(calls) == 2
 
 
+def test_fast_path_builds_the_distance_matrix_once(monkeypatch):
+    """Equal masses within distance 2: one distance matrix per W^g, and the
+    bits of the solution built from ``wasserstein1``'s plan."""
+    rng = np.random.default_rng(43)
+    pairs = [
+        tuple(DiscreteMeasure.from_atoms(
+            [(tuple(p), 0.125) for p in rng.uniform(-0.5, 0.5, (n, dim)).tolist()], dim=dim)
+            for _ in range(2))
+        for dim, n in ((1, 6), (2, 20), (3, 12))
+    ]
+    solutions = []
+    with monkeypatch.context() as patch:
+        calls, fast_path = [], []
+        patch.setattr("measureflow.flat._optimal_entries",
+                      lambda *args: fast_path.append(1) or _optimal_entries(*args))
+        for module in ("flat", "wasserstein"):
+            patch.setattr(f"measureflow.{module}._distances",
+                          lambda x, y: calls.append(1) or _distances(x, y))
+        for m1, m2 in pairs:
+            solutions.append(generalized_wasserstein(m1, m2))
+        assert len(calls) == len(fast_path) == len(pairs)
+    for (m1, m2), sol in zip(pairs, solutions):
+        want = _solution_from_entries(m1, m2, list(wasserstein1(m1, m2)[1].entries))
+        assert repr(sol) == repr(want)  # float reprs round-trip: equal bits
+
+
 def _kept_from_atoms(measure, plan, side):
     """A kept part the long way: each atom capped at the flow through it,
     canonicalized by ``from_atoms``; also the weights before the floor."""
@@ -239,8 +266,8 @@ def _kept_part_pairs():
 
 def test_kept_parts_equal_from_atoms(monkeypatch):
     fast_path = []
-    monkeypatch.setattr("measureflow.flat.wasserstein1",
-                        lambda *args: fast_path.append(1) or wasserstein1(*args))
+    monkeypatch.setattr("measureflow.flat._optimal_entries",
+                        lambda *args: fast_path.append(1) or _optimal_entries(*args))
     below_floor = 0
     for m1, m2 in _kept_part_pairs():
         sol = generalized_wasserstein(m1, m2)

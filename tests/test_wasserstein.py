@@ -8,8 +8,10 @@ from scipy.optimize import linprog
 
 from conftest import equal_mass_pairs_1d, random_measure
 from measureflow.errors import DimensionMismatch, LipschitzViolation, MassMismatch
+from measureflow.fields import Ball
 from measureflow.measures import DiscreteMeasure
 from measureflow.wasserstein import (
+    _distances,
     dual_lower_bound,
     lipschitz_values,
     wasserstein1,
@@ -259,3 +261,52 @@ class TestLipschitzValues:
         assert lipschitz_values(lambda x: 1.0, np.zeros((0, 2)))[1] == 0.0
         close = np.array([[0.0], [0.0], [1e-3]])
         assert lipschitz_values(lambda x: 5.0 * x[0], close)[1] == pytest.approx(5.0)
+
+
+def _kernel_inputs(dim):
+    """(x, y) row sets with ``dim`` coordinates: random, lattice-aligned
+    (many equal coordinates), mixed magnitudes, squares that overflow to inf,
+    and an empty side each way."""
+    rng = np.random.default_rng(dim)
+    yield rng.normal(0.0, 3.0, (30, dim)), rng.normal(0.0, 3.0, (25, dim))
+    yield rng.integers(-4, 5, (40, dim)) / 8, rng.integers(-4, 5, (35, dim)) / 8
+    mixed = [rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-8, 9, (n, dim)) for n in (30, 20)]
+    yield tuple(mixed)
+    yield rng.choice([-1e200, 1e-3, 1e155, 2.0], (12, dim)), rng.choice([1e200, -1e155, 0.5], (10, dim))
+    yield np.zeros((0, dim)), rng.normal(size=(7, dim))
+    yield rng.normal(size=(7, dim)), np.zeros((0, dim))
+
+
+def _bits(array):
+    return array.shape, array.tobytes()
+
+
+class TestDistanceKernel:
+    """``_distances`` against the difference-array formula it replaced,
+    and the two callers whose own formulas it replaced."""
+
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_bits_of_the_difference_array_sum(self, dim):
+        with np.errstate(over="ignore"):
+            for x, y in _kernel_inputs(dim):
+                diff = x[:, None, :] - y[None, :, :]
+                assert _bits(_distances(x, y)) == _bits(np.sqrt(np.sum(diff * diff, axis=2)))
+
+    def test_no_coordinates_give_zeros(self):
+        assert _bits(_distances(np.zeros((3, 0)), np.zeros((2, 0)))) == _bits(np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_ball_norms_and_lipschitz_distances_keep_their_bits(self, dim, monkeypatch):
+        seen = []
+        for module in ("fields", "wasserstein"):
+            monkeypatch.setattr(f"measureflow.{module}._distances",
+                                lambda x, y: seen.append(_distances(x, y)) or seen[-1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x, y in _kernel_inputs(dim):
+                center = y[0] if len(y) else np.ones(dim)
+                Ball(tuple(center.tolist()), 1.0).contains_rows(x)
+                assert _bits(seen.pop()[:, 0]) == _bits(np.sqrt(((x - center) ** 2).sum(axis=1)))
+                points = np.concatenate([x, y])
+                lipschitz_values(lambda p: 0.0, points)
+                old = np.sqrt(sum((c[:, None] - c[None, :]) ** 2 for c in points.T))
+                assert _bits(seen.pop()) == _bits(old)
