@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -316,16 +316,26 @@ def semigroup_probe(
     t_list: Sequence[float],
     N: int,
     adaptive_extent: bool = False,
+    trajectories: Mapping[DiscreteMeasure, Trajectory] | None = None,
 ) -> SemigroupProbeReport:
     """Measure W^g(S_t mu, S_t nu) / W^g(mu, nu) on a shared grid.
 
     Each pair passes one ``WarmStart`` through its solves.  ``implied_c``
     is ln(ratio)/t; rows breaking the fitted exponential envelope by more
-    than 20 percent are flagged."""
+    than 20 percent are flagged.
+
+    Each measure is run once.  ``trajectories`` seeds that cache: each
+    entry must be ``run_semigroup`` of its measure under ``problem.pvf`` and
+    ``problem.src`` at level ``N``, recorded to at least ``max(t_list)``.
+    Its states are then the ones the probe would compute, bit for bit: the
+    grid's extent only decides whether a run raises."""
     T = max(t_list)
     dim = pairs[0][0].dim
     grid = LatticeGrid(N=N, dim=dim, adaptive_extent=adaptive_extent)
-    cache: dict = {}
+    cache = dict(trajectories or {})
+    for traj in cache.values():
+        if traj.grid.N != N or traj.pvf is not problem.pvf or traj.src is not problem.src:
+            raise ValueError("a seeded trajectory must be a run of the probed problem at level N")
 
     def run(mu: DiscreteMeasure) -> Trajectory:
         if mu not in cache:

@@ -135,11 +135,11 @@ def _object(spec, name: str, keys, tag: str | None = None) -> dict:
 def _build_velocity(spec):
     spec = _object(spec, "velocity", _VELOCITY_KEYS, "type")
     if spec["type"] == "constant":
-        value = _numbers(spec.get("value"), "velocity value")
+        value = _numbers(spec.get("value"), "velocity value", finite=True)
         return (lambda x: value), max(abs(c) for c in value)
     if spec["type"] == "identity":
         return (lambda x: x), None
-    factor = _number(spec.get("factor"), "factor")
+    factor = _number(spec.get("factor"), "factor", finite=True)
     return (lambda x: factor * np.asarray(x)), None
 
 
@@ -161,10 +161,10 @@ def _build_pvf(spec) -> PvfSpec:
         raise ConfigError("diffusion1d needs a phi breakpoint table")
     q = _positive_int(spec.get("q", 8), "q")
     try:
-        phi = PiecewiseLinear.from_table(_numbers(row, "phi row") for row in table)
+        phi = PiecewiseLinear.from_table(_numbers(row, "phi row", finite=True) for row in table)
+        return PvfSpec.diffusion1d(phi, q)
     except ValueError as err:
         raise ConfigError(f"bad phi table: {err}") from None
-    return PvfSpec.diffusion1d(phi, q)
 
 
 def _build_carrier(spec) -> Ball:
@@ -222,21 +222,25 @@ def _build_problem(config: dict, config_dir: Path) -> ProblemSpec:
     return problem
 
 
-def _number(value, name: str) -> float:
-    """A config number: a JSON integer or float, not a bool or string."""
+def _number(value, name: str, finite: bool = False) -> float:
+    """A config number: a JSON integer or float, not a bool or string;
+    with ``finite``, not NaN or an infinity either."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:  # an integer past the float range
         raise ConfigError(f"{name} must be a number in the float range, got {value}") from None
+    if finite and not math.isfinite(number):
+        raise ConfigError(f"{name} must be finite, got {number}")
+    return number
 
 
-def _numbers(value, name: str) -> tuple[float, ...]:
+def _numbers(value, name: str, finite: bool = False) -> tuple[float, ...]:
     """A config list of numbers: a non-empty JSON array."""
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{name} must be a non-empty list of numbers, got {value!r}")
-    return tuple(_number(c, name) for c in value)
+    return tuple(_number(c, name, finite) for c in value)
 
 
 def _final_time(config: dict, args) -> float:
@@ -492,8 +496,9 @@ def _validate_checks(problem: ProblemSpec, n: int, t_final: float, seed: int,
     mu0 = problem.initial
     nu0 = mu0.pushforward(lambda x: x + shift)
     t_probe = [k / n for k in range(1, len(traj.states), max(1, (len(traj.states) - 1) // 4))]
+    # traj is the probe's run of mu0 on the same level, recorded past t_probe
     probe = analysis.semigroup_probe(problem, [(mu0, nu0)], t_probe, N=n,
-                                     adaptive_extent=True)
+                                     adaptive_extent=True, trajectories={mu0: traj})
     flags = [row.flagged for row in probe.rows]
     checks.append(
         {

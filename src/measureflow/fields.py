@@ -62,6 +62,8 @@ class PiecewiseLinear:
         for a, b in zip(self.values, self.values[1:]):
             if b < a:
                 raise ValueError("values must be nondecreasing (monotone profile)")
+        # the table as arrays, built once for ``evaluate``
+        object.__setattr__(self, "_arrays", (np.asarray(self.knots), np.asarray(self.values)))
 
     @classmethod
     def from_table(cls, table: Iterable[Sequence[float]]) -> "PiecewiseLinear":
@@ -79,7 +81,7 @@ class PiecewiseLinear:
             bad = float(s[~inside].flat[0])
             raise ProfileRangeError(f"profile queried at {bad} outside table range [{lo}, {hi}]")
         s = np.minimum(np.maximum(s, lo), hi)
-        knots, values = np.asarray(self.knots), np.asarray(self.values)
+        knots, values = self._arrays
         k = np.searchsorted(knots[1:], s)
         t = (s - knots[k]) / (knots[k + 1] - knots[k])
         return values[k] + t * (values[k + 1] - values[k])
@@ -168,10 +170,12 @@ class PvfSpec:
 
     def lift(
         self, positions: np.ndarray, nums: np.ndarray, den: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    ) -> tuple[np.ndarray | slice, np.ndarray, np.ndarray, int]:
         """Exact V[mu] of mu = sum_i nums[i] / den delta_{positions[i]}, rows
         in increasing order (the diffusion quadrature needs them sorted):
-        (row of each piece, its velocity, piece nums, piece den)."""
+        (row of each piece, its velocity, piece nums, piece den).  A
+        deterministic field gives one piece per row, as ``slice(None)``, so
+        indexing with it takes a view."""
         if self.kind == "deterministic":
             velocities = np.array([self.velocity(x) for x in positions], dtype=float)
             if len(positions) and velocities.shape != positions.shape:
@@ -179,7 +183,7 @@ class PvfSpec:
                     f"velocity field returned shape {velocities.shape[1:]} "
                     f"in dim {positions.shape[1]}"
                 )
-            return np.arange(len(positions)), velocities.reshape(positions.shape), nums, den
+            return slice(None), velocities.reshape(positions.shape), nums, den
         if self.kind == "diffusion1d":
             if positions.shape[1] != 1:
                 raise DimensionMismatch("diffusion1d requires dim 1")

@@ -6,7 +6,12 @@ space cell i by a velocity cell j lands on space cell i + j.
 
 One step, in order: lift the state through the PVF, quantize the lift in
 space and velocity, move every quantized atom by dt * velocity, then add
-dt times the space-quantized source.  No operator fusion.
+dt times the space-quantized source.  No operator fusion.  A step copies
+no array it does not change: a deterministic lift takes its space cells as
+a view, ``_merge`` skips the common denominator and concatenation for one
+part and the duplicate-cell sum when no cell repeats, and ``_emit`` skips
+the floor filter when no atom is below it.  The gcd reduction, the extent
+checks and the re-snap self-check run every step.
 
 Fields.  Every PVF and source, ``custom`` kinds included, acts on the
 exact state through its array form (``PvfSpec.lift``,
@@ -235,8 +240,10 @@ def _check_level(grid: LatticeGrid, reach: float) -> None:
 
 def _outside(values: np.ndarray, extent: float) -> tuple[float, ...] | None:
     """The first row of ``values`` with a coordinate beyond the extent, if any."""
-    rows = (np.abs(values) > extent + 1e-9).any(axis=1)
-    return tuple(values[np.argmax(rows)].tolist()) if rows.any() else None
+    beyond = np.abs(values) > extent + 1e-9
+    if not beyond.any():
+        return None
+    return tuple(values[np.argmax(beyond.any(axis=1))].tolist())
 
 
 def _cells(values: np.ndarray, cells_per_unit: int, extent: float, name: str) -> np.ndarray:
@@ -258,17 +265,21 @@ def _velocity_cells(grid: LatticeGrid, velocities: np.ndarray) -> np.ndarray:
 
 def _merge(parts: list[tuple[np.ndarray, np.ndarray, int]]) -> _State:
     """Sum weighted cells (cells, nums, den) into one reduced state."""
-    den = math.lcm(*(d for _, _, d in parts))
-    cells = np.concatenate([c for c, _, _ in parts])
-    nums = np.concatenate([n if d == den else n * (den // d) for _, n, d in parts])
+    if len(parts) == 1:
+        cells, nums, den = parts[0]
+    else:
+        den = math.lcm(*(d for _, _, d in parts))
+        cells = np.concatenate([c for c, _, _ in parts])
+        nums = np.concatenate([n if d == den else n * (den // d) for _, n, d in parts])
     if not len(nums):
         return _State(cells, nums, 1)
     order = np.lexsort(cells.T[::-1])
     cells, nums = cells[order], nums[order]
     first = np.ones(len(cells), dtype=bool)
     first[1:] = (cells[1:] != cells[:-1]).any(axis=1)
-    starts = np.flatnonzero(first)
-    cells, nums = cells[starts], np.add.reduceat(nums, starts)
+    if not first.all():
+        starts = np.flatnonzero(first)
+        cells, nums = cells[starts], np.add.reduceat(nums, starts)
     g = math.gcd(den, *nums.tolist())
     if g > 1:
         nums, den = nums // g, den // g
@@ -293,12 +304,14 @@ def _emit(
         raise SupportOverflow(f"atom at {anchor} left the space extent", step_index=step)
     weights = _ratios(state.nums, state.den)
     kept = weights >= WEIGHT_FLOOR
-    recorded = positions[kept]
-    off = (_snap(recorded, n2) != state.cells[kept]).any(axis=1)
-    if off.any():
-        atom = tuple(recorded[np.argmax(off)].tolist())
+    recorded, cells = positions, state.cells
+    if not kept.all():
+        recorded, cells, weights = recorded[kept], cells[kept], weights[kept]
+    snapped = _snap(recorded, n2)
+    if not np.array_equal(snapped, cells):
+        atom = tuple(recorded[np.argmax((snapped != cells).any(axis=1))].tolist())
         raise AssertionError(f"state left the lattice at step {step}: atom {atom}")
-    atoms = tuple(zip(map(tuple, recorded.tolist()), weights[kept].tolist()))
+    atoms = tuple(zip(map(tuple, recorded.tolist()), weights.tolist()))
     snapshot = DiscreteMeasure(atoms=atoms, dim=state.cells.shape[1])
     return positions, snapshot, _support_radius(recorded)
 
@@ -307,7 +320,8 @@ def _lift(
     grid: LatticeGrid, state: _State, positions: np.ndarray, pvf: PvfSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """av_discretize(V[state]) with exact weights: (space cells, velocity
-    cells, nums, den).  ``positions`` are the anchors of ``state.cells``."""
+    cells, nums, den).  ``positions`` are the anchors of ``state.cells``; a
+    deterministic field's space cells are a view of them."""
     rows, velocities, nums, den = pvf.lift(positions, state.nums, state.den)
     return state.cells[rows], _velocity_cells(grid, velocities), nums, den
 
@@ -469,9 +483,10 @@ def predicted_reach(
     """Upper bound on the support radius over [0, T], plus one cell of slack.
 
     Uses the uniform speed bound when the PVF declares one, otherwise the
-    Gronwall envelope of dr/dt = C (1 + r) from the sublinearity budget.  A
-    constant or custom source may create mass anywhere in B(0, R); a
-    proportional one only on atoms already there, so its R does not count.
+    Gronwall envelope of dr/dt = C (1 + r) from the sublinearity budget (inf
+    past the float range).  A constant or custom source may create mass
+    anywhere in B(0, R); a proportional one only on atoms already there, so
+    its R does not count.
     """
     r0 = mu0.support_radius()
     if pvf is None:
@@ -479,8 +494,10 @@ def predicted_reach(
     elif pvf.velocity_bound is not None:
         reach = r0 + T * pvf.velocity_bound
     else:
-        c = pvf.growth_constant
-        reach = (r0 + 1.0) * math.exp(c * T) - 1.0
+        try:
+            reach = (r0 + 1.0) * math.exp(pvf.growth_constant * T) - 1.0
+        except OverflowError:
+            reach = math.inf
     if src is not None and src.kind != "proportional":
         reach = max(reach, src.support_radius)
     return reach + 1.0

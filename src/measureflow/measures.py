@@ -85,7 +85,11 @@ def _canonical_atoms(
 ) -> tuple[tuple[Position, float], ...]:
     groups: dict[Position, list[float]] = {}
     for position, weight in atoms:
-        pos = tuple(_quantize(c, POSITION_DECIMALS) for c in position)
+        try:
+            pos = tuple(_quantize(c, POSITION_DECIMALS) for c in position)
+            w = float(weight)
+        except OverflowError:  # an integer past the float range
+            raise ValueError("atom coordinate or weight past the float range") from None
         if not all(map(math.isfinite, pos)):
             raise ValueError(f"non-finite atom coordinate in {pos}")
         if dim is None:
@@ -94,7 +98,6 @@ def _canonical_atoms(
             raise DimensionMismatch(
                 f"atom of dimension {len(pos)} in a measure of dimension {dim}"
             )
-        w = float(weight)
         if w < 0.0:
             raise ValueError(f"negative atom weight {w}")
         if not math.isfinite(w):

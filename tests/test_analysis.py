@@ -254,6 +254,40 @@ class TestSemigroupProbe:
         assert report.fitted_c == pytest.approx(1.0, abs=0.2)
 
 
+    @staticmethod
+    def _hex_rows(report):
+        return [(r.pair_index, r.t.hex(), r.distance.hex(), r.initial_distance.hex(),
+                 r.ratio.hex(), None if r.implied_c is None else r.implied_c.hex(), r.flagged)
+                for r in report.rows] + [report.fitted_c.hex()]
+
+    @pytest.mark.parametrize("preset", ["translate", "diffusion1d", "source-only"])
+    def test_seeded_run_gives_the_same_rows(self, preset):
+        # validate's use: a longer run of mu0 on a fixed-extent grid seeds
+        # the probe, which runs the rest on an adaptive one
+        problem = builtin_problem(preset)
+        mu0 = problem.initial
+        nu0 = mu0.pushforward(lambda x: x + 0.4)
+        traj = run_semigroup(LatticeGrid(N=8, dim=mu0.dim), mu0, problem.pvf, problem.src, 1.0)
+        t_list = [0.125, 0.375, 0.625]
+        args = (problem, [(mu0, nu0)], t_list)
+        plain = semigroup_probe(*args, N=8, adaptive_extent=True)
+        seeded = semigroup_probe(*args, N=8, adaptive_extent=True, trajectories={mu0: traj})
+        assert self._hex_rows(seeded) == self._hex_rows(plain)
+        assert len(plain.rows) == 3
+
+    def test_seed_of_another_level_or_problem_is_rejected(self):
+        problem = builtin_problem("translate")
+        mu0 = problem.initial
+        pairs = [(mu0, mu0.pushforward(lambda x: x + 0.4))]
+        other = run_semigroup(LatticeGrid(N=4, dim=1), mu0, problem.pvf, problem.src, 1.0)
+        with pytest.raises(ValueError, match="seeded trajectory"):
+            semigroup_probe(problem, pairs, [0.5], N=8, trajectories={mu0: other})
+        moved = dataclasses.replace(problem, pvf=PvfSpec.deterministic(
+            lambda x: (0.5,), growth_constant=0.5, velocity_bound=0.5))
+        with pytest.raises(ValueError, match="seeded trajectory"):
+            semigroup_probe(moved, pairs, [0.5], N=4, trajectories={mu0: other})
+
+
 class TestGermCompat:
     def test_constant_velocity_error_is_snap_offset_only(self):
         pvf = PvfSpec.deterministic(lambda x: (1.0,), growth_constant=1.0,

@@ -4,7 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from measureflow import analysis, cli
 from measureflow.cli import main
+from measureflow.lattice import run_semigroup
+from measureflow.problems import builtin_problem
 
 
 def write_measure(path: Path, atoms, dim=1):
@@ -645,6 +648,25 @@ class TestValidateCommand:
         names = {c["name"] for c in report["checks"]}
         assert "mass_bookkeeping" in names and "grid_alignment" in names
 
+    @pytest.mark.parametrize("preset", ["translate", "diffusion1d", "source-only"])
+    def test_probe_reuses_the_run_of_the_initial_measure(self, tmp_path, monkeypatch, preset):
+        # the run, the determinism rerun and the probe's run of the shifted
+        # measure; the probe's run of the initial measure repeated a prefix
+        # of the first run
+        calls = []
+
+        def spy(grid, mu0, pvf, src, T):
+            calls.append((mu0, T))
+            return run_semigroup(grid, mu0, pvf, src, T)
+
+        monkeypatch.setattr(cli, "run_semigroup", spy)
+        monkeypatch.setattr(analysis, "run_semigroup", spy)
+        out = tmp_path / "val.json"
+        assert main(["validate", "--preset", preset, "--N", "8", "--out", str(out)]) == 0
+        initial = builtin_problem(preset).initial
+        assert [mu0 == initial for mu0, _ in calls] == [True, True, False]
+        assert json.loads(out.read_text())["passed"] is True
+
 
     # three atoms with non-dyadic weights under a proportional source: with
     # B(0, 5) covering the run the defects follow rate dt |mu_k| exactly; the
@@ -748,3 +770,72 @@ class TestDeterminism:
                              "conv.csv", "val.json")
             }
         assert results["1"] == results["8"]
+
+
+TWO_D_ATOM = {"dim": 2, "atoms": [[0.0, 0.0, 1.0]]}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+@pytest.mark.parametrize("config, message", [
+    # exited 1 with a ValueError traceback: phi's speed bound was NaN
+    ({"initial_measure": ONE_ATOM,
+      "pvf": {"kind": "diffusion1d", "phi": [[0.0, math.nan], [1.0, 0.5]]}},
+     "bad phi table: phi row must be finite, got nan"),
+    ({"initial_measure": ONE_ATOM,
+      "pvf": {"kind": "diffusion1d", "phi": [[-math.inf, -0.5], [1.0, 0.5]]}},
+     "bad phi table: phi row must be finite, got -inf"),
+    # warned "invalid value encountered in cast", then exited 3 at an atom
+    # near -5.8e17: the NaN sat after the speed bound's first component
+    ({"initial_measure": TWO_D_ATOM,
+      "pvf": {"kind": "deterministic", "velocity": {"type": "constant", "value": [1.0, math.nan]}}},
+     "velocity value must be finite, got nan"),
+    ({"initial_measure": ONE_ATOM,
+      "pvf": {"kind": "deterministic", "velocity": {"type": "scale", "factor": math.nan}}},
+     "factor must be finite, got nan"),
+], ids=["nan_phi_value", "inf_phi_knot", "nan_constant_velocity", "nan_scale_factor"])
+def test_non_finite_field_numbers_exit_2_before_the_run(tmp_path, capsys, command, config,
+                                                        message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "custom", "N": 4, "T": 1.0, **config}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+@pytest.mark.parametrize("adaptive, code, message", [
+    (False, 3, "SupportOverflow: growth envelope radius inf exceeds the extent [-4.0, 4.0]^n"),
+    (True, 2, "ConfigError: level N=4 is too fine for support radius inf"),
+], ids=["fixed_extent", "adaptive_extent"])
+def test_growth_envelope_past_the_float_range(tmp_path, capsys, command, adaptive, code,
+                                              message):
+    # T = 1e308 under the identity field: math.exp raised OverflowError in
+    # predicted_reach, a traceback with exit 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "problem": "custom", "N": 4, "T": 1e308, "adaptive_extent": adaptive,
+        "initial_measure": TWO_D_ATOM,
+        "pvf": {"kind": "deterministic", "velocity": {"type": "identity"}},
+    }))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("atom", [[0.0, 10**400], [10**400, 1.0]], ids=["weight", "coordinate"])
+def test_measure_number_past_the_float_range_exits_2(tmp_path, capsys, atom):
+    # float() raised OverflowError in measures._canonical_atoms: exit 1
+    # with a traceback
+    config = {"problem": "custom", "N": 4, "T": 1.0, "source": PROPORTIONAL,
+              "initial_measure": {"dim": 1, "atoms": [atom]}}
+    assert _run_simulate(tmp_path, config) == 2
+    assert capsys.readouterr().err == ("error: ConfigError: bad inline measure schema "
+                                       "(atom coordinate or weight past the float range)\n")
+    a = write_measure(tmp_path / "a.json", [atom])
+    assert main(["distance", a, a]) == 2
+    assert "past the float range" in capsys.readouterr().err

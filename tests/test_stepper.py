@@ -11,10 +11,18 @@ import numpy as np
 import pytest
 
 from conftest import snap_scalar, space_anchor, space_index, velocity_index
+from measureflow import lattice
 from measureflow.cli import _build_problem, main
-from measureflow.errors import ConfigError, ProfileRangeError
+from measureflow.errors import ConfigError, ProfileRangeError, SupportOverflow
 from measureflow.fields import Ball, PiecewiseLinear, PvfSpec, SourceSpec
-from measureflow.lattice import LatticeGrid, _anchors, _snap, _space_cells, run_semigroup
+from measureflow.lattice import (
+    LatticeGrid,
+    _anchors,
+    _outside,
+    _snap,
+    _space_cells,
+    run_semigroup,
+)
 from measureflow.measures import WEIGHT_FLOOR, DiscreteMeasure, LiftedMeasure, _quantize
 
 d = DiscreteMeasure.dirac
@@ -291,6 +299,95 @@ def test_custom_lift_drops_sub_floor_atoms():
     assert list(traj.exact_masses) == masses
     with pytest.raises(ValueError, match="projection condition"):
         run_semigroup(grid, d([0.0]), _unit_drift(0.125), src, 4 / 8)
+
+
+# -- step shortcuts: each taken and not taken, against the Fraction stepper --
+
+
+def _step_and_drop(x):
+    """Unit speed left of 0.1, at rest from there: the atom at 0 lands on
+    the one at 0.25 in the first step at N = 4."""
+    return (1.0,) if x[0] < 0.1 else (0.0,)
+
+
+UNIT = PvfSpec.deterministic(lambda x: (1.0,), growth_constant=1.0, velocity_bound=1.0)
+AT_REST = PvfSpec.deterministic(lambda x: (0.0,), growth_constant=1e-9, velocity_bound=0.0)
+PAIR = DiscreteMeasure.from_atoms([((0.0,), 0.5), ((0.25,), 0.5)])
+
+# (mu0, pvf, src, steps at N = 4) and whether any step merges duplicate
+# cells, sums more than one part, or holds a sub-floor atom
+SHORTCUTS = {
+    "distinct_cells": (PAIR, UNIT, None, (False, False, False)),
+    "colliding_cells": (PAIR, PvfSpec.deterministic(_step_and_drop, growth_constant=1.0,
+                                                    velocity_bound=1.0),
+                        None, (True, False, False)),
+    "source_part": (PAIR, UNIT, SourceSpec.constant(d([0.5], 0.25)), (True, True, False)),
+    "sub_floor_atom": (d([0.0]), AT_REST, SourceSpec.constant(d([0.5], 1.6e-15)),
+                       (True, True, True)),
+    "custom_split": (d([0.0]), PvfSpec.custom(_split_lift, growth_constant=0.5,
+                                              velocity_bound=0.5), None, (True, False, False)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHORTCUTS))
+def test_step_shortcuts_match_reference_stepper(name, monkeypatch):
+    # a step skips lcm and concatenate for one part, the duplicate-cell sum
+    # when no cells repeat, and the floor filter when no atom is below it;
+    # the spies record which case each call was
+    mu0, pvf, src, expected = SHORTCUTS[name]
+    merges, emits = [], []
+    merge, emit = lattice._merge, lattice._emit
+
+    def spy_merge(parts):
+        state = merge(parts)
+        merges.append((len(parts), sum(len(cells) for cells, _, _ in parts), len(state.cells)))
+        return state
+
+    def spy_emit(grid, state, step):
+        out = emit(grid, state, step)
+        emits.append((len(state.cells), len(out[1])))
+        return out
+
+    monkeypatch.setattr(lattice, "_merge", spy_merge)
+    monkeypatch.setattr(lattice, "_emit", spy_emit)
+    grid = LatticeGrid(N=4, dim=1)
+    traj = run_semigroup(grid, mu0, pvf, src, 1.0)
+    monkeypatch.undo()
+    atoms, masses, _ = reference_run(grid, mu0, pvf, src, 4)
+    assert [state.atoms for state in traj.states] == atoms
+    assert list(traj.exact_masses) == masses
+    assert _hex(traj.support_radii) == _hex(s.support_radius() for s in traj.states)
+    assert len(merges) == len(emits) == 5
+    assert (any(rows_out < rows_in for _, rows_in, rows_out in merges),
+            any(parts > 1 for parts, _, _ in merges),
+            any(recorded < exact for exact, recorded in emits)) == expected
+
+
+def test_lift_rows_view_and_index():
+    # a deterministic field lifts row for row and says so with a slice; a
+    # custom one names each piece's row
+    positions = np.array([[0.0], [0.25]])
+    nums, den = np.array([1, 1], dtype=object), 2
+    assert UNIT.lift(positions, nums, den)[0] == slice(None)
+    split = PvfSpec.custom(_split_lift, growth_constant=0.5, velocity_bound=0.5)
+    rows, velocities, piece_nums, piece_den = split.lift(positions, nums, den)
+    assert rows.tolist() == [0, 0, 1, 1]
+    assert velocities.ravel().tolist() == [-0.25, 0.5, -0.25, 0.5]
+    assert Fraction(int(piece_nums[0]), piece_den) == Fraction(1, 4)
+
+
+def test_outside_names_the_first_row_past_the_extent():
+    values = np.array([[0.5, -1.0], [0.0, 4.5], [-5.0, 0.0], [1.0, 1.0]])
+    assert _outside(values, 4.0) == (0.0, 4.5)
+    assert _outside(values, 5.0) is None
+    assert _outside(values[:0], 1.0) is None
+    # through a step: two velocities past the extent [-2, 2] of level 2
+    lying = PvfSpec.deterministic(lambda x: (3.0 * (x[0] > 0), -5.0), growth_constant=0.1,
+                                  velocity_bound=0.1)
+    mu0 = DiscreteMeasure.from_atoms([((0.0, 0.0), 0.5), ((0.5, 0.0), 0.5)])
+    with pytest.raises(SupportOverflow, match=r"velocity \(0\.0, -5\.0\) outside") as err:
+        run_semigroup(LatticeGrid(N=2, dim=2), mu0, lying, None, 1.0)
+    assert err.value.step_index == 1
 
 
 # -- golden digests: preset trajectories recorded from the Fraction stepper --
