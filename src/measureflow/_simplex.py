@@ -53,6 +53,15 @@ and refills it only when it succeeds.  Where the optimum is degenerate a
 warm solve may end at another optimal basis than a cold one, so flows and
 the value's last bits can differ.  The carrier belongs to the caller, not
 to the module, so a result depends on the call's arguments alone.
+
+Bound.  The same feasibility makes a fitting carrier an upper bound:
+``WarmStart.bound`` prices the kept basis at new costs, ``sum f *
+cost[arc]``, without solving.  A solve returns a basis whose reduced costs
+are at least ``-100 price_tol``, so its cost is at most the optimum plus
+``100 price_tol`` times the total supply; the bound adds that tolerance, so
+no solve of the instance can return more.  A caller that only needs to
+know whether the optimum can exceed some value may skip the solve when the
+bound is below it.
 """
 
 from __future__ import annotations
@@ -369,6 +378,12 @@ def _pivot(tree, flows, cost, u, v, reduced, price_tol, degen_tol, max_iter) -> 
         raise SimplexError(f"pivot limit {max_iter} exceeded")
 
 
+def _price_tol(cost: np.ndarray) -> float:
+    """Pricing tolerance: reduced costs above ``-price_tol`` count as
+    nonnegative, and the certificate allows down to ``-100 price_tol``."""
+    return 1e-12 * (1.0 + float(np.max(np.abs(cost))))
+
+
 def _basis(m: int, n: int, flows: dict[int, float], cost: np.ndarray):
     """The tree, potentials and reduced costs of a spanning-tree basis."""
     tree = _Tree(m, n, flows)
@@ -385,7 +400,10 @@ class WarmStart:
     gets a carrier empties it, starts from its basis and tree when its own
     supply and demand have the same bytes, and stores its final basis and
     tree back when it succeeds.  A carrier holds no state beyond what its
-    caller's solves put in it.
+    caller's solves put in it.  ``bound`` prices the kept basis at another
+    instance's costs without solving it; like a warm start, it needs the
+    same supply and demand bytes, so it gives inf wherever the masses
+    change between instances.
     """
 
     __slots__ = ("masses", "basis", "tree")
@@ -404,6 +422,26 @@ class WarmStart:
         self.masses = (supply.tobytes(), demand.tobytes())
         self.basis = basis
         self.tree = tree
+
+    def bound(self, supply: np.ndarray, demand: np.ndarray, cost) -> float:
+        """A value no solve of the instance can return more than, from the
+        kept basis; inf when the carrier is empty or does not fit ``supply``
+        and ``demand``.  ``cost`` is a function returning the cost matrix,
+        called only when the basis fits.
+
+        A fitting basis is a feasible plan whatever the costs, so its cost
+        ``sum f * cost[arc]`` bounds the optimum from above.  A solve may
+        return up to its certificate's tolerance more than the optimum:
+        ``100 price_tol`` times the total supply, which the bound adds.
+        The carrier is left as it is."""
+        if not self.basis or not self.fits(supply, demand):
+            return math.inf
+        cost = cost()
+        count = len(self.basis)
+        arcs = np.fromiter(self.basis, dtype=np.intp, count=count)
+        flows = np.fromiter(self.basis.values(), dtype=float, count=count)
+        total = max(float(supply.sum()), float(demand.sum()))
+        return float(flows @ cost.reshape(-1)[arcs]) + 100 * _price_tol(cost) * total
 
     def take(self, supply: np.ndarray, demand: np.ndarray):
         """``(basis, tree)`` when they fit these supplies and demands, else
@@ -445,8 +483,7 @@ def solve_transport(
     if len(supply) != m or len(demand) != n:
         raise ValueError("cost shape does not match supply/demand lengths")
 
-    scale_c = 1.0 + float(np.max(np.abs(cost))) if cost.size else 1.0
-    price_tol = 1e-12 * scale_c
+    price_tol = _price_tol(cost)
     mass_scale = 1.0 + float(max(supply.sum(), demand.sum()))
     degen_tol = 1e-12 * mass_scale
 

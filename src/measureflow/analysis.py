@@ -13,11 +13,11 @@ import numpy as np
 from ._simplex import WarmStart
 from .errors import SupportOverflow
 from .fields import PvfSpec, SourceSpec
-from .flat import generalized_wasserstein
+from .flat import GwInstance, generalized_wasserstein
 from .lattice import LatticeGrid, Trajectory, run_semigroup
 from .measures import DiscreteMeasure
 from .problems import ProblemSpec
-from .wasserstein import wasserstein1
+from .wasserstein import W1Instance
 
 ZERO_DISTANCE = 1e-14
 
@@ -148,14 +148,40 @@ def weak_residual(
 # -- convergence studies --------------------------------------------------------
 
 
-def _metric_fn(
-    metric: str,
-) -> Callable[[DiscreteMeasure, DiscreteMeasure, WarmStart], float]:
+def _instance_fn(metric: str) -> Callable[[DiscreteMeasure, DiscreteMeasure], object]:
+    """The metric's transport instance between two measures, whose
+    ``bound`` and ``distance`` share one distance matrix."""
     if metric == "w1":
-        return lambda a, b, warm: wasserstein1(a, b, warm)[0]
+        return W1Instance
     if metric == "gw":
-        return lambda a, b, warm: generalized_wasserstein(a, b, warm).distance
+        return GwInstance
     raise ValueError(f"unknown metric {metric!r} (use 'w1' or 'gw')")
+
+
+def _sup_distance(
+    instance: Callable[[DiscreteMeasure, DiscreteMeasure], object],
+    pairs: Sequence[tuple[DiscreteMeasure, DiscreteMeasure]],
+) -> tuple[float, float]:
+    """The sup over ``pairs`` (listed in time order) of their distance, and
+    the distance of the last pair.
+
+    One ``WarmStart`` walks the pairs from the last to the first, and the
+    last is always solved.  Before each later solve the carrier's basis is
+    priced at the pair's costs (``bound``): when that bound is below the
+    running sup, the distance cannot raise the sup, and the solve is
+    skipped.  Otherwise the solve starts from that basis."""
+    warm = WarmStart()
+    sup = 0.0
+    last = None
+    for a, b in reversed(pairs):
+        lp = instance(a, b)
+        if lp.bound(warm) < sup:
+            continue
+        d = lp.distance(warm)
+        if last is None:
+            last = d
+        sup = max(sup, d)
+    return sup, last
 
 
 @dataclass(frozen=True)
@@ -224,13 +250,23 @@ def convergence_study(
 
     Levels run one after another.  A level whose run leaves its extent is
     excluded, and SupportOverflow is raised when fewer than two remain.
-    Each level pair, and each level's reference loop, passes one
-    ``WarmStart`` through its time loop, so a solve starts from the previous
-    time's optimal basis when the supplies and demands did not change."""
+
+    Each level pair, and each level's reference loop, reports only the sup
+    over its times (``_sup_distance``).  So it walks its times from the last
+    to the first with one ``WarmStart``, and the last time is always solved
+    (``reference_final`` is that distance).  Before each earlier solve, the
+    carrier's basis, from the latest solve, is priced at that time's costs.
+    The price bounds the distance from above: the solver's certificate
+    tolerance (100 price_tol times the total supply), 1e-9 relative for
+    rounding and, for W^g, the weight floor per atom are added to it.  When
+    it is below the running sup the solve is skipped, since the sup cannot
+    change; otherwise the solve starts from that basis.  A basis fits only
+    a time whose supplies and demands have the same bytes, so where the
+    weights change between times (any source) no time is skipped."""
     levels = sorted(set(int(n) for n in n_list))
     if len(levels) < 3:
         raise ValueError("convergence_study needs at least 3 levels")
-    dist = _metric_fn(metric)
+    instance = _instance_fn(metric)
     dim = problem.initial.dim
 
     def run_level(n: int) -> Trajectory | None:
@@ -252,27 +288,17 @@ def convergence_study(
 
     pair_distances = []
     for (nc, tc), (nf, tf) in zip(usable, usable[1:]):
-        k_max = len(tc.states) - 1
-        sup = 0.0
-        warm = WarmStart()
-        for t in _shared_step_times(nc, nf, k_max):
-            tt = float(t)
-            if tt > tf.final_time + 1e-12:
-                continue
-            sup = max(sup, dist(tc.state_at(tt), tf.state_at(tt), warm))
-        pair_distances.append((nc, nf, sup))
+        times = [float(t) for t in _shared_step_times(nc, nf, len(tc.states) - 1)]
+        pairs = [(tc.state_at(t), tf.state_at(t)) for t in times if t <= tf.final_time + 1e-12]
+        pair_distances.append((nc, nf, _sup_distance(instance, pairs)[0]))
 
     reference_sup = []
     reference_final = []
     if problem.reference is not None:
         for n, traj in usable:
-            warm = WarmStart()
-            sup = max(
-                dist(state, problem.reference(t), warm)
-                for t, state in zip(traj.times, traj.states)
-            )
+            pairs = [(state, problem.reference(t)) for t, state in zip(traj.times, traj.states)]
+            sup, final = _sup_distance(instance, pairs)
             reference_sup.append((n, sup))
-            final = dist(traj.final_state, problem.reference(traj.final_time), warm)
             reference_final.append((n, final))
 
     fit_points = reference_sup if reference_sup else [

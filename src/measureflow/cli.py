@@ -162,9 +162,12 @@ def _build_pvf(spec) -> PvfSpec:
     q = _positive_int(spec.get("q", 8), "q")
     try:
         phi = PiecewiseLinear.from_table(_numbers(row, "phi row", finite=True) for row in table)
-        return PvfSpec.diffusion1d(phi, q)
     except ValueError as err:
         raise ConfigError(f"bad phi table: {err}") from None
+    try:
+        return PvfSpec.diffusion1d(phi, q)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
 
 
 def _build_carrier(spec) -> Ball:

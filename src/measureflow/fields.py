@@ -135,11 +135,13 @@ class PvfSpec:
         phi: PiecewiseLinear | Iterable[Sequence[float]],
         quadrature_points: int = 8,
     ) -> "PvfSpec":
-        """Growth constant and speed bound: phi's largest |value| (C >= 1e-9)."""
+        """Growth constant and speed bound: phi's largest |value| (C >= 1e-9).
+        ``quadrature_points`` must lie in [1, 2^53): an exact float count,
+        as the stepper's step counts are."""
         if not isinstance(phi, PiecewiseLinear):
             phi = PiecewiseLinear.from_table(phi)
-        if quadrature_points < 1:
-            raise ValueError("quadrature_points must be >= 1")
+        if not 1 <= quadrature_points < 2**53:
+            raise ValueError(f"quadrature points q must be in [1, 2^53), got {quadrature_points}")
         bound = phi.bound()
         return cls(
             kind="diffusion1d",

@@ -23,7 +23,7 @@ from ._simplex import WarmStart, solve_transport
 from .errors import DimensionMismatch
 from .measures import WEIGHT_FLOOR, DiscreteMeasure, SignedDecomposition
 from .wasserstein import (TransportPlan, _distances, _optimal_entries, lipschitz_values,
-                          signed_integral)
+                          _rounding_slack, signed_integral)
 
 # Fast path: equal masses with all support points strictly closer than the
 # removal threshold 2 means the optimum removes nothing and W^g = W1.
@@ -81,6 +81,80 @@ def _solution_from_entries(m1, m2, entries):
     )
 
 
+class GwInstance:
+    """The transport instance behind W^g(m1, m2), built in one place for
+    ``bound`` and ``solve``: the distance matrix (on first use), the W1 fast
+    path test, and otherwise the dummy row and column.  W^g is ``offset``
+    plus the instance's optimum: 0 on the fast path, |m1| + |m2| on the
+    dummy instance."""
+
+    def __init__(self, m1: DiscreteMeasure, m2: DiscreteMeasure):
+        if m1.dim != m2.dim:
+            raise DimensionMismatch(f"dim {m1.dim} vs {m2.dim}")
+        self.m1, self.m2 = m1, m2
+        self.mass1, self.mass2 = m1.mass(), m2.mass()
+        self.weights = m1.weights_array(), m2.weights_array()
+        self.dummy_weights = (np.concatenate([self.weights[0], [self.mass2]]),
+                              np.concatenate([self.weights[1], [self.mass1]]))
+        self._lp = None
+
+    def lp(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """``(supply, demand, cost, offset)`` of the instance the solve takes."""
+        if self._lp is None:
+            m1, m2, mass1, mass2 = self.m1, self.m2, self.mass1, self.mass2
+            dist = _distances(m1.positions_array(), m2.positions_array())
+            if (
+                abs(mass1 - mass2) <= _EQUAL_MASS_TOL * max(1.0, mass1, mass2)
+                and float(dist.max()) < _FULL_TRANSPORT_DIAMETER
+            ):
+                # removal can never beat transport here: a balanced W1 plan on dist
+                self._lp = (*self.weights, dist, 0.0)
+            else:
+                n1, n2 = dist.shape
+                cost = np.zeros((n1 + 1, n2 + 1))
+                cost[:n1, :n2] = dist - 2.0
+                self._lp = (*self.dummy_weights, cost, mass1 + mass2)
+        return self._lp
+
+    def bound(self, warm: WarmStart) -> float:
+        """A value ``solve(warm).distance`` cannot exceed, from the kept
+        basis (``WarmStart.bound``); inf when the carrier fits neither
+        instance (tested before the distance matrix is built) or an empty
+        measure needs no solve.  Besides the rounding slack it allows
+        ``WEIGHT_FLOOR`` per atom: a kept part leaves out an atom whose
+        flows sum below the floor, which then counts as removed."""
+        if self.m1.is_empty or self.m2.is_empty or not (
+            warm.fits(*self.weights) or warm.fits(*self.dummy_weights)
+        ):
+            return math.inf
+        supply, demand, cost, offset = self.lp()
+        floor = WEIGHT_FLOOR * (len(supply) + len(demand))
+        return _rounding_slack(offset + warm.bound(supply, demand, lambda: cost)) + floor
+
+    def distance(self, warm: WarmStart | None = None) -> float:
+        return self.solve(warm).distance
+
+    def solve(self, warm: WarmStart | None = None) -> GwSolution:
+        m1, m2 = self.m1, self.m2
+        if m1.is_empty or m2.is_empty:
+            r1, r2 = self.mass1, self.mass2
+            return GwSolution(
+                distance=math.fsum([r1, r2]),
+                kept1=SignedDecomposition(DiscreteMeasure.empty(m1.dim), r1),
+                kept2=SignedDecomposition(DiscreteMeasure.empty(m2.dim), r2),
+                plan=TransportPlan(entries=(), cost=0.0),
+            )
+        supply, demand, cost, offset = self.lp()
+        if offset == 0.0:  # the fast path
+            return _solution_from_entries(m1, m2, _optimal_entries(m1, m2, cost, warm))
+        _, flows = solve_transport(supply, demand, cost, warm=warm)
+        n1, n2 = len(m1.atoms), len(m2.atoms)
+        entries = [
+            (i, j, f) for (i, j), f in sorted(flows.items()) if i < n1 and j < n2
+        ]
+        return _solution_from_entries(m1, m2, entries)
+
+
 def generalized_wasserstein(
     m1: DiscreteMeasure, m2: DiscreteMeasure, warm: WarmStart | None = None
 ) -> GwSolution:
@@ -88,37 +162,7 @@ def generalized_wasserstein(
 
     ``warm`` is passed to the transport solve, on the W1 fast path too (see
     ``_simplex.WarmStart``)."""
-    if m1.dim != m2.dim:
-        raise DimensionMismatch(f"dim {m1.dim} vs {m2.dim}")
-    empty_plan = TransportPlan(entries=(), cost=0.0)
-    if m1.is_empty or m2.is_empty:
-        r1, r2 = m1.mass(), m2.mass()
-        return GwSolution(
-            distance=math.fsum([r1, r2]),
-            kept1=SignedDecomposition(DiscreteMeasure.empty(m1.dim), r1),
-            kept2=SignedDecomposition(DiscreteMeasure.empty(m2.dim), r2),
-            plan=empty_plan,
-        )
-
-    mass1, mass2 = m1.mass(), m2.mass()
-    dist = _distances(m1.positions_array(), m2.positions_array())
-    if (
-        abs(mass1 - mass2) <= _EQUAL_MASS_TOL * max(1.0, mass1, mass2)
-        and float(dist.max()) < _FULL_TRANSPORT_DIAMETER
-    ):
-        # removal can never beat transport here: a balanced W1 plan on dist
-        return _solution_from_entries(m1, m2, _optimal_entries(m1, m2, dist, warm))
-
-    n1, n2 = len(m1.atoms), len(m2.atoms)
-    supplies = np.concatenate([m1.weights_array(), [mass2]])
-    demands = np.concatenate([m2.weights_array(), [mass1]])
-    cost = np.zeros((n1 + 1, n2 + 1))
-    cost[:n1, :n2] = dist - 2.0
-    _, flows = solve_transport(supplies, demands, cost, warm=warm)
-    entries = [
-        (i, j, f) for (i, j), f in sorted(flows.items()) if i < n1 and j < n2
-    ]
-    return _solution_from_entries(m1, m2, entries)
+    return GwInstance(m1, m2).solve(warm)
 
 
 def gw_dual_probe(

@@ -230,7 +230,9 @@ def _check_level(grid: LatticeGrid, reach: float) -> None:
     increase strictly with k; cell indices must also be exact in a float.
     """
     n2 = grid.N * grid.N
-    if 1e-12 * n2 * (1.5 + reach) + 1e-9 >= 0.5 or reach * n2 >= 2.0**53:
+    # n2 >= 2^53 fails the next test too; as an integer test it comes first,
+    # so that an N past the float range is rejected, not an OverflowError
+    if n2 >= 2**53 or 1e-12 * n2 * (1.5 + reach) + 1e-9 >= 0.5 or reach * n2 >= 2.0**53:
         raise ConfigError(
             f"level N={grid.N} is too fine for support radius {reach:.6g}: grid "
             "anchors at 12 decimals would not snap back to their cells "
@@ -514,6 +516,33 @@ def _step_count(T: float, N: int) -> int:
     return math.ceil(exact)
 
 
+def _checked_step_count(grid: LatticeGrid, mu0: DiscreteMeasure, src: SourceSpec | None,
+                        T: float) -> int:
+    """``_step_count(T, N)``, rejected (ConfigError) when the steps or the
+    mass leave the float range.
+
+    Step times k / N are exact floats only up to k = 2^53, and a run that
+    long would not end anyway.  A proportional source multiplies the mass
+    by at most 1 + rate / N per step; once |mu_0| (1 + rate / N)^steps
+    reaches 2^1024, a recorded weight may be past the float range.
+    """
+    steps = _step_count(T, grid.N)
+    if steps > 2**53:
+        raise ConfigError(
+            f"T={T!r} at level N={grid.N} needs more than 2^53 steps, past which "
+            "step times k/N are not exact floats"
+        )
+    if src is None or src.kind != "proportional":
+        return steps
+    mass = mu0.mass()
+    if mass > 0 and math.log(mass) + steps * math.log1p(src.rate / grid.N) >= 1024 * math.log(2):
+        raise ConfigError(
+            f"a proportional source of rate {src.rate!r} can grow the mass "
+            f"{mass!r} past the float range in {steps} steps at level N={grid.N}"
+        )
+    return steps
+
+
 def run_semigroup(
     grid: LatticeGrid,
     mu0: DiscreteMeasure,
@@ -528,12 +557,15 @@ def run_semigroup(
     cannot fit the extent; in adaptive-extent mode the extent is widened to
     the envelope instead.  Also rejects upfront (ConfigError) a level N too
     fine for the envelope radius, where 12-decimal anchors stop snapping
-    back to their cells.
+    back to their cells (a level too fine for any radius, before the
+    envelope is computed), and a run whose step count or proportional-source
+    mass leaves the float range (``_checked_step_count``).
     """
     if T <= 0:
         raise ValueError("T must be positive")
     if mu0.dim != grid.dim:
         raise ValueError(f"measure dim {mu0.dim} != grid dim {grid.dim}")
+    _check_level(grid, 0.0)  # too fine for any support; also an N past the float range
     reach = predicted_reach(mu0, pvf, src, T)
     if grid.adaptive_extent:
         if reach > grid.space_extent:
@@ -548,7 +580,7 @@ def run_semigroup(
 
     _check_level(grid, reach)
 
-    steps = _step_count(T, grid.N)
+    steps = _checked_step_count(grid, mu0, src, T)
     state = _ingest(grid, mu0)
     positions, snapshot, radius = _emit(grid, state, 0)
     times, states, masses, radii, exact = [], [], [], [], []

@@ -78,6 +78,56 @@ def _optimal_entries(
     return [(i, j, f) for (i, j), f in sorted(flows.items())]
 
 
+def _rounding_slack(bound: float) -> float:
+    """``bound`` raised by 1e-9 relative: room for the rounding between a
+    transport LP's value and the distance a plan's fsum reports."""
+    return bound + 1e-9 * abs(bound)
+
+
+class W1Instance:
+    """The transport LP of W1(m1, m2): the weights as supplies and demands,
+    the distance matrix as costs.  The matrix is built on first use and
+    shared by ``bound`` and ``solve``.
+
+    Raises MassMismatch when masses differ beyond tolerance (no silent
+    renormalization)."""
+
+    def __init__(self, m1: DiscreteMeasure, m2: DiscreteMeasure):
+        if m1.dim != m2.dim:
+            raise DimensionMismatch(f"dim {m1.dim} vs {m2.dim}")
+        mass1, mass2 = m1.mass(), m2.mass()
+        if abs(mass1 - mass2) > MASS_TOL * max(1.0, mass1, mass2):
+            raise MassMismatch(f"masses differ: {mass1} vs {mass2}")
+        self.m1, self.m2 = m1, m2
+        self._cost = None
+
+    def cost(self) -> np.ndarray:
+        if self._cost is None:
+            self._cost = _distances(self.m1.positions_array(), self.m2.positions_array())
+        return self._cost
+
+    def bound(self, warm: WarmStart) -> float:
+        """A value ``solve(warm)`` cannot report more than, from the kept
+        basis (``WarmStart.bound``); inf when the carrier does not fit."""
+        supply, demand = self.m1.weights_array(), self.m2.weights_array()
+        return _rounding_slack(warm.bound(supply, demand, self.cost))
+
+    def distance(self, warm: WarmStart | None = None) -> float:
+        return self.solve(warm)[0]
+
+    def solve(self, warm: WarmStart | None = None) -> tuple[float, TransportPlan]:
+        """The optimal total transport cost and a plan; ``warm`` is passed
+        to the transport solve."""
+        m1, m2 = self.m1, self.m2
+        if m1.is_empty and m2.is_empty:
+            return 0.0, TransportPlan(entries=(), cost=0.0)
+        entries = _optimal_entries(m1, m2, self.cost(), warm)
+        pos1 = [pos for pos, _ in m1.atoms]
+        pos2 = [pos for pos, _ in m2.atoms]
+        cost_total = math.fsum(f * math.dist(pos1[i], pos2[j]) for i, j, f in entries)
+        return cost_total, TransportPlan(entries=tuple(entries), cost=cost_total)
+
+
 def wasserstein1(
     m1: DiscreteMeasure, m2: DiscreteMeasure, warm: WarmStart | None = None
 ) -> tuple[float, TransportPlan]:
@@ -88,20 +138,7 @@ def wasserstein1(
     renormalization).  ``warm`` is passed to the transport solve (see
     ``_simplex.WarmStart``).
     """
-    if m1.dim != m2.dim:
-        raise DimensionMismatch(f"dim {m1.dim} vs {m2.dim}")
-    mass1, mass2 = m1.mass(), m2.mass()
-    if abs(mass1 - mass2) > MASS_TOL * max(1.0, mass1, mass2):
-        raise MassMismatch(f"masses differ: {mass1} vs {mass2}")
-    if m1.is_empty and m2.is_empty:
-        return 0.0, TransportPlan(entries=(), cost=0.0)
-
-    cost = _distances(m1.positions_array(), m2.positions_array())
-    entries = _optimal_entries(m1, m2, cost, warm)
-    pos1 = [pos for pos, _ in m1.atoms]
-    pos2 = [pos for pos, _ in m2.atoms]
-    cost_total = math.fsum(f * math.dist(pos1[i], pos2[j]) for i, j, f in entries)
-    return cost_total, TransportPlan(entries=tuple(entries), cost=cost_total)
+    return W1Instance(m1, m2).solve(warm)
 
 
 def wasserstein1_1d(m1: DiscreteMeasure, m2: DiscreteMeasure) -> float:

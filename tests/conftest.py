@@ -1,14 +1,19 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from measureflow._simplex import WarmStart
 from measureflow.errors import SupportOverflow
 from measureflow.fields import PvfSpec
+from measureflow.flat import generalized_wasserstein
+from measureflow.lattice import LatticeGrid, run_semigroup
 from measureflow.measures import DiscreteMeasure, LiftedMeasure
 from measureflow.problems import ProblemSpec
+from measureflow.wasserstein import wasserstein1
 
 settings.register_profile(
     "suite",
@@ -72,6 +77,43 @@ def drift2d(seed: int, n: int = 15) -> ProblemSpec:
         pvf=PvfSpec.deterministic(lambda x: x, growth_constant=1.0),
         src=None,
     )
+
+
+def forward_study(problem: ProblemSpec, levels, T: float, metric: str,
+                  adaptive_extent: bool = False):
+    """``(pair_distances, reference_sup, reference_final)`` of
+    ``convergence_study`` without pruning: one warm-started solve at every
+    time, in time order, and a separate solve for each final reference
+    distance.  The oracle for the pruned backward walk."""
+    def distance(a, b, warm):
+        if metric == "w1":
+            return wasserstein1(a, b, warm)[0]
+        return generalized_wasserstein(a, b, warm).distance
+
+    runs = []
+    for n in sorted(set(levels)):
+        grid = LatticeGrid(N=n, dim=problem.initial.dim, adaptive_extent=adaptive_extent)
+        try:
+            runs.append((n, run_semigroup(grid, problem.initial, problem.pvf, problem.src, T)))
+        except SupportOverflow:
+            pass
+    pairs = []
+    for (nc, tc), (nf, tf) in zip(runs, runs[1:]):
+        warm, sup = WarmStart(), 0.0
+        for k in range(len(tc.states)):
+            t = Fraction(k, nc)
+            if (t * nf).denominator == 1 and float(t) <= tf.final_time + 1e-12:
+                sup = max(sup, distance(tc.state_at(float(t)), tf.state_at(float(t)), warm))
+        pairs.append((nc, nf, sup))
+    reference_sup, reference_final = [], []
+    if problem.reference is not None:
+        for n, traj in runs:
+            warm = WarmStart()
+            reference_sup.append((n, max(distance(state, problem.reference(t), warm)
+                                         for t, state in zip(traj.times, traj.states))))
+            final = distance(traj.final_state, problem.reference(traj.final_time), warm)
+            reference_final.append((n, final))
+    return tuple(pairs), tuple(reference_sup), tuple(reference_final)
 
 
 def random_lifted(rng, n_atoms, dim=1, span=3.0, vspan=2.0, weights=None):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import drift2d
+from conftest import drift2d, forward_study
 from measureflow.analysis import (
     TestFunction,
     convergence_study,
@@ -15,12 +15,12 @@ from measureflow.analysis import (
 )
 from measureflow._simplex import WarmStart
 from measureflow.errors import SupportOverflow
-from measureflow.fields import PvfSpec
-from measureflow.flat import generalized_wasserstein
+from measureflow.fields import PvfSpec, SourceSpec
+from measureflow.flat import GwInstance, generalized_wasserstein
 from measureflow.lattice import LatticeGrid, run_semigroup
 from measureflow.measures import DiscreteMeasure
 from measureflow.problems import builtin_problem
-from measureflow.wasserstein import wasserstein1
+from measureflow.wasserstein import W1Instance, wasserstein1
 
 d = DiscreteMeasure.dirac
 
@@ -225,6 +225,67 @@ class TestConvergenceStudy:
         report = convergence_study(builtin_problem("translate"), [4, 8, 16], 1.0)
         rows = report.csv_rows()
         assert len(rows) == 3 and all(len(r) == 3 for r in rows)
+
+
+def _count_solves(monkeypatch) -> list[int]:
+    """Log with one entry per transport instance solved, W1 or W^g."""
+    solved = []
+    for cls in (W1Instance, GwInstance):
+        monkeypatch.setattr(cls, "solve", lambda self, warm=None, _solve=cls.solve:
+                            solved.append(1) or _solve(self, warm))
+    return solved
+
+
+def _hex_rows(rows) -> list[tuple]:
+    return [tuple(x.hex() if isinstance(x, float) else x for x in row) for row in rows]
+
+
+def _shrink(seed: int):
+    """drift2d under the scale field x' = -x: distances fall with time, so
+    the sup sits near t = 0."""
+    return dataclasses.replace(drift2d(seed), pvf=PvfSpec.deterministic(
+        lambda x: -1.0 * np.asarray(x), growth_constant=1.0))
+
+
+# id -> (problem, metric, levels, adaptive_extent, expected skips or None)
+_PRUNING_CASES = {
+    # distances rise with time: of the 5 + 9 + 17 shared times of the three
+    # level pairs, only each pair's final time is solved
+    "drift2d-w1": (drift2d(1), "w1", (4, 8, 16, 32), True, 4 + 8 + 16),
+    "drift2d-gw": (drift2d(2), "gw", (4, 8, 16, 32), True, 4 + 8 + 16),
+    # every distance is 0, so no bound is below the sup: nothing is skipped
+    "translate-w1": (builtin_problem("translate"), "w1", (4, 8, 16), False, 0),
+    "translate-gw": (builtin_problem("translate"), "gw", (4, 8, 16), False, 0),
+    "source-only-w1": (builtin_problem("source-only"), "w1", (4, 8, 16), False, 0),
+    "source-only-gw": (builtin_problem("source-only"), "gw", (4, 8, 16), False, 0),
+    "diffusion1d-w1": (builtin_problem("diffusion1d"), "w1", (4, 8, 16), False, None),
+    "diffusion1d-gw": (builtin_problem("diffusion1d"), "gw", (4, 8, 16), False, None),
+    # the source changes the weights at every step: no carrier ever fits
+    "drift2d-source-gw": (dataclasses.replace(drift2d(4, 20), src=SourceSpec.proportional(0.5, 2.0)),
+                          "gw", (4, 8, 16), True, 0),
+    # distances fall with time: the walk must reach the sup near t = 0
+    "shrink-w1": (_shrink(5), "w1", (4, 8, 16), True, None),
+    "shrink-gw": (_shrink(5), "gw", (4, 8, 16), True, None),
+}
+
+
+class TestSupPruning:
+    @pytest.mark.parametrize("case", list(_PRUNING_CASES))
+    def test_pruned_walk_gives_the_bits_of_the_forward_loop(self, monkeypatch, case):
+        problem, metric, levels, adaptive, skips = _PRUNING_CASES[case]
+        solved = _count_solves(monkeypatch)
+        report = convergence_study(problem, levels, 1.0, metric=metric,
+                                   adaptive_extent=adaptive)
+        pruned = len(solved)
+        pairs, ref_sup, ref_final = forward_study(problem, levels, 1.0, metric, adaptive)
+        assert _hex_rows(report.pair_distances) == _hex_rows(pairs)
+        assert _hex_rows(report.reference_sup) == _hex_rows(ref_sup)
+        assert _hex_rows(report.reference_final) == _hex_rows(ref_final)
+        # the forward loop solves every time, and each final reference again
+        every_time = len(solved) - pruned - len(ref_final)
+        assert pruned <= every_time
+        if skips is not None:
+            assert every_time - pruned == skips
 
 
 class TestSemigroupProbe:

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -839,3 +842,67 @@ def test_measure_number_past_the_float_range_exits_2(tmp_path, capsys, atom):
     a = write_measure(tmp_path / "a.json", [atom])
     assert main(["distance", a, a]) == 2
     assert "past the float range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+def test_step_count_past_2_53_exits_2_upfront(tmp_path, command):
+    # the envelope fits, so the run was asked for about 4e308 steps and
+    # never ended: run in a child process, so that it fails rather than hangs
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "source-only", "N": 4, "T": 1e308}))
+    out = tmp_path / "out"
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src),
+                                                               os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "measureflow.cli", command, "--config", str(cfg),
+                           "--out", str(out)], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr == ("error: ConfigError: T=1e+308 at level N=4 needs more than 2^53 "
+                           "steps, past which step times k/N are not exact floats\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config", [
+    ("simulate", {"problem": "translate", "N": 10**400}),
+    ("validate", {"problem": "translate", "N": 10**400}),
+    ("convergence", {"problem": "translate", "N_list": [4, 8, 10**400]}),
+], ids=["simulate", "validate", "N_list"])
+def test_level_past_the_float_range_exits_2(tmp_path, capsys, command, config):
+    # float(N) raised OverflowError: exit 1 with a traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**config, "T": 1.0}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ConfigError: level N={10**400} is too fine for support radius 0")
+    assert err.count("\n") == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+@pytest.mark.parametrize("config, message", [
+    # OverflowError in measures._ratios: the weights passed the float range
+    ({"initial_measure": ONE_ATOM, "source": {**PROPORTIONAL, "rate": 1e308}},
+     "a proportional source of rate 1e+308 can grow the mass 1.0 past the float range "
+     "in 4 steps at level N=4"),
+    # TypeError in PvfSpec.lift: range(2 q) has no length
+    ({"initial_measure": ONE_ATOM,
+      "pvf": {"kind": "diffusion1d", "phi": [[0.0, 0.0], [1.0, 0.5]], "q": 10**400}},
+     f"quadrature points q must be in [1, 2^53), got {10**400}"),
+], ids=["rate", "q"])
+def test_field_number_past_the_float_range_exits_2_upfront(tmp_path, capsys, command, config,
+                                                           message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "custom", "N": 4, "T": 1.0, **config}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
+    assert not out.exists()
+
+
+def test_proportional_mass_up_to_the_float_range_runs(tmp_path):
+    # (1 + rate / 4)^4 = 2^1020 for rate = 4 (2^255 - 1): below 2^1024
+    config = {"problem": "custom", "N": 4, "T": 1.0, "initial_measure": ONE_ATOM,
+              "source": {**PROPORTIONAL, "rate": 4 * (2**255 - 1)}}
+    assert _run_simulate(tmp_path, config) == 0
+    summary = json.loads((tmp_path / "o.csv.summary.json").read_text())
+    assert summary["final_mass"] == 2.0**1020

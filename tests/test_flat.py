@@ -7,10 +7,11 @@ from hypothesis import given
 
 from conftest import measures_1d, random_measure
 from measureflow.errors import DimensionMismatch, LipschitzViolation
-from measureflow.flat import (_solution_from_entries, generalized_wasserstein, gw_dual_probe,
-                              integral_bound_check)
+from measureflow._simplex import WarmStart
+from measureflow.flat import (GwInstance, _solution_from_entries, generalized_wasserstein,
+                              gw_dual_probe, integral_bound_check)
 from measureflow.measures import WEIGHT_FLOOR, DiscreteMeasure
-from measureflow.wasserstein import _distances, _optimal_entries, wasserstein1
+from measureflow.wasserstein import W1Instance, _distances, _optimal_entries, wasserstein1
 
 d = DiscreteMeasure.dirac
 
@@ -279,3 +280,35 @@ def test_kept_parts_equal_from_atoms(monkeypatch):
             below_floor += sum(0 < w < WEIGHT_FLOOR for w in weights)
     assert fast_path == [1]
     assert below_floor >= 1
+
+
+@pytest.mark.parametrize("cls, span, mass2", [
+    (W1Instance, 2.0, 1.0),
+    (GwInstance, 0.3, 1.0),  # equal masses within distance 2: the fast path
+    (GwInstance, 2.0, 1.0),  # atoms farther apart than 2: the dummy instance
+    (GwInstance, 0.3, 1.5),  # unequal masses: the dummy instance
+])
+def test_instance_bound_and_solve_share_one_matrix(monkeypatch, cls, span, mass2):
+    """The bound of a carrier that fits builds the matrix the solve then
+    uses; a carrier that fits neither instance builds none.  The distance
+    never exceeds the bound."""
+    rng = np.random.default_rng([65, int(10 * span), int(10 * mass2)])
+
+    def measure(points, mass):
+        return DiscreteMeasure.from_atoms([(tuple(p), mass / len(points)) for p in points])
+
+    x, y = rng.uniform(-span, span, (20, 2)), rng.uniform(-span, span, (15, 2))
+    warm = WarmStart()
+    cls(measure(x, 1.0), measure(y, mass2)).distance(warm)
+    calls = []
+    module = "wasserstein" if cls is W1Instance else "flat"
+    monkeypatch.setattr(f"measureflow.{module}._distances",
+                        lambda a, b: calls.append(1) or _distances(a, b))
+    moved = cls(measure(x + 0.01, 1.0), measure(y, mass2))
+    bound = moved.bound(warm)
+    assert calls == [1] and bound < math.inf
+    assert moved.distance(warm) <= bound
+    assert calls == [1]
+    reweighted = cls(measure(x[1:], 1.0), measure(y, mass2))
+    assert reweighted.bound(warm) == math.inf
+    assert calls == [1]

@@ -8,10 +8,9 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
-from conftest import drift2d
+from conftest import drift2d, forward_study
 from measureflow import _simplex
 from measureflow._simplex import SimplexError, solve_transport
-from measureflow.analysis import convergence_study
 from measureflow.errors import MeasureflowError, SolverError
 
 _HIGHS_OPTIONS = {
@@ -632,6 +631,31 @@ def test_warm_start_matches_cold(monkeypatch, kind, n):
     assert starts == [1]  # only the first solve, on an empty carrier, starts cold
 
 
+@pytest.mark.parametrize("kind", ["w1_2d", "gw_2d"])
+def test_bound_prices_the_kept_basis(kind):
+    rng = np.random.default_rng([64, len(kind)])
+    (supply, demand, cost), *later = _drifting_instances(rng, kind, 30)
+    warm = _simplex.WarmStart()
+    unbuilt = []
+    assert warm.bound(supply, demand, lambda: unbuilt.append(1)) == math.inf  # empty
+    value, _ = solve_transport(supply, demand, cost, warm=warm)
+    basis, masses = dict(warm.basis), warm.masses
+    tolerance = 100 * _simplex._price_tol(cost) * supply.sum()
+    # on its own instance the bound is the optimum plus the certificate's tolerance
+    assert warm.bound(supply, demand, lambda: cost) == pytest.approx(value + tolerance,
+                                                                     rel=1e-12)
+    for supply, demand, cost in later:
+        bound = warm.bound(supply, demand, lambda: cost)
+        priced = math.fsum(f * cost.flat[arc] for arc, f in basis.items())
+        tolerance = 100 * _simplex._price_tol(cost) * supply.sum()
+        assert bound == pytest.approx(priced + tolerance, rel=1e-12)
+        assert solve_transport(supply, demand, cost)[0] <= bound
+    assert warm.basis == basis and warm.masses == masses  # bounding keeps the carrier
+    moved = supply[::-1].copy()
+    assert warm.bound(moved, demand, lambda: unbuilt.append(1)) == math.inf
+    assert unbuilt == []  # a carrier that does not fit builds no cost matrix
+
+
 def _hex_result(result):
     value, flows = result
     return value.hex(), [(arc, f.hex()) for arc, f in flows.items()]
@@ -659,8 +683,9 @@ def test_unfit_carrier_gives_the_cold_bits(change):
 
 
 def _captured_sequences(metric: str) -> list[list[tuple]]:
-    """The (supply, demand, cost) of every solve of a convergence study, one
-    list per carrier, in call order."""
+    """The (supply, demand, cost) of every solve of a convergence study's
+    forward loop, which solves at every time, one list per carrier, in call
+    order."""
     carriers, sequences = [], []
 
     def spy(supply, demand, cost, *, warm=None, **kwargs):
@@ -673,8 +698,7 @@ def _captured_sequences(metric: str) -> list[list[tuple]]:
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("measureflow.wasserstein.solve_transport", spy)
         patch.setattr("measureflow.flat.solve_transport", spy)
-        convergence_study(drift2d(8, 20), (4, 8, 16, 32), 1.0, metric=metric,
-                          adaptive_extent=True)
+        forward_study(drift2d(8, 20), (4, 8, 16, 32), 1.0, metric, adaptive_extent=True)
     return sequences
 
 
