@@ -55,13 +55,16 @@ the value's last bits can differ.  The carrier belongs to the caller, not
 to the module, so a result depends on the call's arguments alone.
 
 Bound.  The same feasibility makes a fitting carrier an upper bound:
-``WarmStart.bound`` prices the kept basis at new costs, ``sum f *
-cost[arc]``, without solving.  A solve returns a basis whose reduced costs
-are at least ``-100 price_tol``, so its cost is at most the optimum plus
-``100 price_tol`` times the total supply; the bound adds that tolerance, so
-no solve of the instance can return more.  A caller that only needs to
-know whether the optimum can exceed some value may skip the solve when the
-bound is below it.
+``WarmStart.price`` prices the kept basis at new costs, ``sum f *
+cost[arc]``, without solving.  The carrier keeps its arcs as row, column
+and flow arrays, so the caller computes only those m + n - 1 costs: O(m +
+n), no cost matrix.  A solve returns a basis whose reduced costs are at
+least ``-100 price_tol``, so its cost is at most the optimum plus ``100
+price_tol`` times the total supply (``certificate_slack``).  That slack
+needs only an upper bound on max |cost|, such as one from the two point
+sets' support radii, so a caller can bound an instance whose matrix it
+never builds.  A caller that only needs to know whether the optimum can
+exceed some value may skip the solve when the bound is below it.
 """
 
 from __future__ import annotations
@@ -378,10 +381,20 @@ def _pivot(tree, flows, cost, u, v, reduced, price_tol, degen_tol, max_iter) -> 
         raise SimplexError(f"pivot limit {max_iter} exceeded")
 
 
-def _price_tol(cost: np.ndarray) -> float:
-    """Pricing tolerance: reduced costs above ``-price_tol`` count as
-    nonnegative, and the certificate allows down to ``-100 price_tol``."""
-    return 1e-12 * (1.0 + float(np.max(np.abs(cost))))
+def _price_tol(cap: float) -> float:
+    """Pricing tolerance for costs of absolute value at most ``cap``: reduced
+    costs above ``-price_tol`` count as nonnegative, and the certificate
+    allows down to ``-100 price_tol``.  A solve takes ``cap = max |cost|``."""
+    return 1e-12 * (1.0 + cap)
+
+
+def certificate_slack(cap: float, total: float) -> float:
+    """How much more than the optimum a solve can return on an instance
+    whose costs lie in [-cap, cap] and whose total supply is at most
+    ``total``: the certificate's ``100 price_tol`` per unit of flow.  The
+    tolerance rises with ``cap``, so an upper bound on max |cost| gives an
+    upper bound on the slack."""
+    return 100 * _price_tol(cap) * total
 
 
 def _basis(m: int, n: int, flows: dict[int, float], cost: np.ndarray):
@@ -395,23 +408,25 @@ class WarmStart:
     """Caller-owned carrier of the last optimal basis, for the next solve.
 
     It holds every arc of the basis with its flow, zero-flow arcs included,
-    the tree of the solve's final rebuild (adjacency, parents and BFS order),
-    and the supply and demand bytes the basis was built for.  A solve that
-    gets a carrier empties it, starts from its basis and tree when its own
-    supply and demand have the same bytes, and stores its final basis and
-    tree back when it succeeds.  A carrier holds no state beyond what its
-    caller's solves put in it.  ``bound`` prices the kept basis at another
-    instance's costs without solving it; like a warm start, it needs the
-    same supply and demand bytes, so it gives inf wherever the masses
-    change between instances.
+    both as a dict and as row, column and flow arrays; the tree of the
+    solve's final rebuild (adjacency, parents and BFS order); and the
+    supply and demand bytes the basis was built for.  A solve that gets a
+    carrier empties it, starts from its basis and tree when its own supply
+    and demand have the same bytes, and stores its final basis and tree
+    back when it succeeds.  A carrier holds no state beyond what its
+    caller's solves put in it.  ``price`` prices the kept basis at another
+    instance's costs without solving it, from those m + n - 1 arcs alone;
+    like a warm start, it needs the same supply and demand bytes, so it
+    gives inf wherever the masses change between instances.
     """
 
-    __slots__ = ("masses", "basis", "tree")
+    __slots__ = ("masses", "basis", "tree", "arcs")
 
     def __init__(self) -> None:
         self.masses = (b"", b"")
         self.basis: dict[int, float] = {}
         self.tree: _Tree | None = None
+        self.arcs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def fits(self, supply: np.ndarray, demand: np.ndarray) -> bool:
         """Whether the basis is for these supplies and demands (and shape)."""
@@ -422,26 +437,23 @@ class WarmStart:
         self.masses = (supply.tobytes(), demand.tobytes())
         self.basis = basis
         self.tree = tree
+        count = len(basis)
+        rows, cols = np.divmod(np.fromiter(basis, dtype=np.intp, count=count), tree.n)
+        self.arcs = rows, cols, np.fromiter(basis.values(), dtype=float, count=count)
 
-    def bound(self, supply: np.ndarray, demand: np.ndarray, cost) -> float:
-        """A value no solve of the instance can return more than, from the
-        kept basis; inf when the carrier is empty or does not fit ``supply``
-        and ``demand``.  ``cost`` is a function returning the cost matrix,
-        called only when the basis fits.
+    def price(self, supply: np.ndarray, demand: np.ndarray, arc_costs) -> float:
+        """The kept basis's cost ``sum f * cost[i, j]`` at another instance's
+        costs; inf when the carrier is empty or does not fit ``supply`` and
+        ``demand``.  ``arc_costs(rows, cols)`` returns the costs of the arcs
+        ``(rows[k], cols[k])``, and is called only when the basis fits.
 
-        A fitting basis is a feasible plan whatever the costs, so its cost
-        ``sum f * cost[arc]`` bounds the optimum from above.  A solve may
-        return up to its certificate's tolerance more than the optimum:
-        ``100 price_tol`` times the total supply, which the bound adds.
-        The carrier is left as it is."""
+        A fitting basis is a feasible plan whatever the costs, so its price
+        bounds the optimum from above; add ``certificate_slack`` to bound
+        what a solve can return.  The carrier is left as it is."""
         if not self.basis or not self.fits(supply, demand):
             return math.inf
-        cost = cost()
-        count = len(self.basis)
-        arcs = np.fromiter(self.basis, dtype=np.intp, count=count)
-        flows = np.fromiter(self.basis.values(), dtype=float, count=count)
-        total = max(float(supply.sum()), float(demand.sum()))
-        return float(flows @ cost.reshape(-1)[arcs]) + 100 * _price_tol(cost) * total
+        rows, cols, flows = self.arcs
+        return float(flows @ arc_costs(rows, cols))
 
     def take(self, supply: np.ndarray, demand: np.ndarray):
         """``(basis, tree)`` when they fit these supplies and demands, else
@@ -449,7 +461,7 @@ class WarmStart:
         fails leaves nothing behind."""
         fit = self.fits(supply, demand)
         kept = self.basis, self.tree
-        self.masses, self.basis, self.tree = (b"", b""), {}, None
+        self.masses, self.basis, self.tree, self.arcs = (b"", b""), {}, None, None
         return kept if fit else None
 
 
@@ -483,7 +495,7 @@ def solve_transport(
     if len(supply) != m or len(demand) != n:
         raise ValueError("cost shape does not match supply/demand lengths")
 
-    price_tol = _price_tol(cost)
+    price_tol = _price_tol(float(np.max(np.abs(cost))))
     mass_scale = 1.0 + float(max(supply.sum(), demand.sum()))
     degen_tol = 1e-12 * mass_scale
 

@@ -149,8 +149,8 @@ def weak_residual(
 
 
 def _instance_fn(metric: str) -> Callable[[DiscreteMeasure, DiscreteMeasure], object]:
-    """The metric's transport instance between two measures, whose
-    ``bound`` and ``distance`` share one distance matrix."""
+    """The metric's transport instance between two measures: ``bound``
+    prices a carrier's basis on its arcs, ``distance`` solves."""
     if metric == "w1":
         return W1Instance
     if metric == "gw":
@@ -167,9 +167,9 @@ def _sup_distance(
 
     One ``WarmStart`` walks the pairs from the last to the first, and the
     last is always solved.  Before each later solve the carrier's basis is
-    priced at the pair's costs (``bound``): when that bound is below the
-    running sup, the distance cannot raise the sup, and the solve is
-    skipped.  Otherwise the solve starts from that basis."""
+    priced at the pair's costs (``bound``), in O(m + n) from the basis's
+    own arcs: when that bound is below the running sup, the distance cannot
+    raise the sup, and the solve is skipped with no distance matrix built.  Otherwise the solve starts from that basis."""
     warm = WarmStart()
     sup = 0.0
     last = None
@@ -256,11 +256,14 @@ def convergence_study(
     to the first with one ``WarmStart``, and the last time is always solved
     (``reference_final`` is that distance).  Before each earlier solve, the
     carrier's basis, from the latest solve, is priced at that time's costs.
-    The price bounds the distance from above: the solver's certificate
-    tolerance (100 price_tol times the total supply), 1e-9 relative for
-    rounding and, for W^g, the weight floor per atom are added to it.  When
-    it is below the running sup the solve is skipped, since the sup cannot
-    change; otherwise the solve starts from that basis.  A basis fits only
+    Pricing reads only the basis's m + n - 1 arcs, so a skipped time costs
+    O(m + n), and only a solved time builds its distance matrix.  The price
+    bounds the distance from above: the solver's certificate tolerance, for
+    costs up to the sum of the two states' support radii (plus 2 for W^g),
+    1e-9 relative for rounding and, for W^g, the weight floor per atom are
+    added to it.  When it is below the running sup the solve is skipped,
+    since the sup cannot change; otherwise the solve starts from that
+    basis.  A basis fits only
     a time whose supplies and demands have the same bytes, so where the
     weights change between times (any source) no time is skipped."""
     levels = sorted(set(int(n) for n in n_list))

@@ -19,11 +19,11 @@ from typing import Callable
 
 import numpy as np
 
-from ._simplex import WarmStart, solve_transport
+from ._simplex import WarmStart, certificate_slack, solve_transport
 from .errors import DimensionMismatch
 from .measures import WEIGHT_FLOOR, DiscreteMeasure, SignedDecomposition
-from .wasserstein import (TransportPlan, _distances, _optimal_entries, lipschitz_values,
-                          _rounding_slack, signed_integral)
+from .wasserstein import (TransportPlan, _arc_distances, _distance_cap, _distances,
+                          _dual_value, _optimal_entries, _rounding_slack)
 
 # Fast path: equal masses with all support points strictly closer than the
 # removal threshold 2 means the optimum removes nothing and W^g = W1.
@@ -81,55 +81,78 @@ def _solution_from_entries(m1, m2, entries):
     )
 
 
+def _gw_arc_costs(x: np.ndarray, y: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """Costs of the arcs ``(rows[k], cols[k])`` alone, as in the dummy
+    instance: ``dist - 2`` between atoms (the matrix's bits), 0 at a row or
+    column past them (the dummy ones)."""
+    costs = np.zeros(len(rows))
+    real = (rows < len(x)) & (cols < len(y))
+    costs[real] = _arc_distances(x, y, rows[real], cols[real]) - 2.0
+    return costs
+
+
 class GwInstance:
-    """The transport instance behind W^g(m1, m2), built in one place for
-    ``bound`` and ``solve``: the distance matrix (on first use), the W1 fast
-    path test, and otherwise the dummy row and column.  W^g is ``offset``
-    plus the instance's optimum: 0 on the fast path, |m1| + |m2| on the
-    dummy instance."""
+    """The transport instance behind W^g(m1, m2), for ``bound`` and
+    ``solve``.  A solve takes one of two shapes (``lp``): the balanced W1
+    instance on the distance matrix (the fast path), or the dummy instance
+    with one more row and column.  W^g is ``offset`` plus the instance's
+    optimum: 0 on the fast path, |m1| + |m2| on the dummy instance."""
 
     def __init__(self, m1: DiscreteMeasure, m2: DiscreteMeasure):
         if m1.dim != m2.dim:
             raise DimensionMismatch(f"dim {m1.dim} vs {m2.dim}")
         self.m1, self.m2 = m1, m2
         self.mass1, self.mass2 = m1.mass(), m2.mass()
-        self.weights = m1.weights_array(), m2.weights_array()
-        self.dummy_weights = (np.concatenate([self.weights[0], [self.mass2]]),
-                              np.concatenate([self.weights[1], [self.mass1]]))
-        self._lp = None
+
+    def _dummy_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """The dummy instance's supply and demand: each side's weights, then
+        the other side's mass."""
+        return (np.concatenate((self.m1.weights_array(), (self.mass2,))),
+                np.concatenate((self.m2.weights_array(), (self.mass1,))))
 
     def lp(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         """``(supply, demand, cost, offset)`` of the instance the solve takes."""
-        if self._lp is None:
-            m1, m2, mass1, mass2 = self.m1, self.m2, self.mass1, self.mass2
-            dist = _distances(m1.positions_array(), m2.positions_array())
-            if (
-                abs(mass1 - mass2) <= _EQUAL_MASS_TOL * max(1.0, mass1, mass2)
-                and float(dist.max()) < _FULL_TRANSPORT_DIAMETER
-            ):
-                # removal can never beat transport here: a balanced W1 plan on dist
-                self._lp = (*self.weights, dist, 0.0)
-            else:
-                n1, n2 = dist.shape
-                cost = np.zeros((n1 + 1, n2 + 1))
-                cost[:n1, :n2] = dist - 2.0
-                self._lp = (*self.dummy_weights, cost, mass1 + mass2)
-        return self._lp
+        m1, m2, mass1, mass2 = self.m1, self.m2, self.mass1, self.mass2
+        dist = _distances(m1.positions_array(), m2.positions_array())
+        if (
+            abs(mass1 - mass2) <= _EQUAL_MASS_TOL * max(1.0, mass1, mass2)
+            and float(dist.max()) < _FULL_TRANSPORT_DIAMETER
+        ):
+            # removal can never beat transport here: a balanced W1 plan on dist
+            return m1.weights_array(), m2.weights_array(), dist, 0.0
+        n1, n2 = dist.shape
+        cost = np.zeros((n1 + 1, n2 + 1))
+        cost[:n1, :n2] = dist - 2.0
+        return (*self._dummy_weights(), cost, mass1 + mass2)
 
     def bound(self, warm: WarmStart) -> float:
-        """A value ``solve(warm).distance`` cannot exceed, from the kept
-        basis (``WarmStart.bound``); inf when the carrier fits neither
-        instance (tested before the distance matrix is built) or an empty
-        measure needs no solve.  Besides the rounding slack it allows
-        ``WEIGHT_FLOOR`` per atom: a kept part leaves out an atom whose
-        flows sum below the floor, which then counts as removed."""
-        if self.m1.is_empty or self.m2.is_empty or not (
-            warm.fits(*self.weights) or warm.fits(*self.dummy_weights)
-        ):
+        """A value ``solve(warm).distance`` cannot exceed, in O(m + n), from
+        the kept basis of either shape; inf when the carrier fits neither
+        shape, or when an empty measure needs no solve.  No distance matrix,
+        fast-path test or dummy matrix is built.
+
+        The kept plan of either shape is a W^g plan: its arcs between atoms
+        move mass at their distance, and the rest of both measures is
+        removed at cost 1.  Its cost, |m1| + |m2| plus the arcs' ``dist -
+        2`` (``WarmStart.price``), is at least W^g, whichever shape the
+        solve takes.  The slack covers the certificate of a solve in either
+        shape (costs within 2 plus the support radii's sum, total supply
+        |m1| + |m2|), 1e-9 relative for rounding and ``WEIGHT_FLOOR`` per
+        atom: a kept part leaves out an atom whose flows sum below the
+        floor, which then counts as removed."""
+        m1, m2 = self.m1, self.m2
+        if m1.is_empty or m2.is_empty:
             return math.inf
-        supply, demand, cost, offset = self.lp()
-        floor = WEIGHT_FLOOR * (len(supply) + len(demand))
-        return _rounding_slack(offset + warm.bound(supply, demand, lambda: cost)) + floor
+        x, y = m1.positions_array(), m2.positions_array()
+        supply, demand = m1.weights_array(), m2.weights_array()
+        if not warm.fits(supply, demand):
+            supply, demand = self._dummy_weights()
+        price = warm.price(supply, demand, lambda rows, cols: _gw_arc_costs(x, y, rows, cols))
+        if price == math.inf:
+            return price
+        slack = certificate_slack(2.0 + _distance_cap(m1, m2), self.mass1 + self.mass2)
+        bound = _rounding_slack(self.mass1 + self.mass2 + price + slack)
+        return bound + WEIGHT_FLOOR * (len(m1) + len(m2))
 
     def distance(self, warm: WarmStart | None = None) -> float:
         return self.solve(warm).distance
@@ -171,11 +194,7 @@ def gw_dual_probe(
     """Dual value of the flat metric: integral of f d(m1 - m2) for a test
     function with sup norm <= 1 and Lipschitz constant <= 1 (checked on the
     union of supports).  Never exceeds the primal optimum up to tolerance."""
-    if m1.dim != m2.dim:
-        raise DimensionMismatch(f"dim {m1.dim} vs {m2.dim}")
-    points = np.concatenate([m1.positions_array(), m2.positions_array()])
-    values, _ = lipschitz_values(f, points, lip_bound=1.0, sup_bound=1.0)
-    return signed_integral(values, m1, m2)
+    return _dual_value(m1, m2, f, lip_bound=1.0, sup_bound=1.0)[0]
 
 
 def integral_bound_check(
@@ -189,10 +208,6 @@ def integral_bound_check(
     The inequality always holds for a correct solver; False signals a bug.
     Norms are evaluated over the union of supports.
     """
-    if m1.dim != m2.dim:
-        raise DimensionMismatch(f"dim {m1.dim} vs {m2.dim}")
-    points = np.concatenate([m1.positions_array(), m2.positions_array()])
-    values, lip = lipschitz_values(f, points)
-    lhs = signed_integral(values, m1, m2)
+    lhs, values, lip = _dual_value(m1, m2, f)
     bound = max([*np.abs(values).tolist(), lip]) * generalized_wasserstein(m1, m2).distance
     return lhs <= bound + 1e-9 * (1.0 + abs(bound))

@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -297,7 +298,8 @@ def _emit(
     grid: LatticeGrid, state: _State, step: int
 ) -> tuple[np.ndarray, DiscreteMeasure, float]:
     """Anchor positions of all cells, the canonical measure of the atoms at
-    or above WEIGHT_FLOOR, and its support radius.  After a step (``step``
+    or above WEIGHT_FLOOR, and its support radius, which the measure also
+    keeps as the memo of its ``support_radius()``.  After a step (``step``
     > 0) every anchor must lie in the space extent."""
     n2 = grid.N * grid.N
     positions = _anchors(state.cells, n2)
@@ -315,7 +317,9 @@ def _emit(
         raise AssertionError(f"state left the lattice at step {step}: atom {atom}")
     atoms = tuple(zip(map(tuple, recorded.tolist()), weights.tolist()))
     snapshot = DiscreteMeasure(atoms=atoms, dim=state.cells.shape[1])
-    return positions, snapshot, _support_radius(recorded)
+    radius = _support_radius(recorded)
+    snapshot.__dict__["_support_radius"] = radius  # the memo of snapshot.support_radius()
+    return positions, snapshot, radius
 
 
 def _lift(
@@ -516,15 +520,38 @@ def _step_count(T: float, N: int) -> int:
     return math.ceil(exact)
 
 
+# The float range of a mass: a W^g solve adds two states' masses, and
+# validate's budget takes up to ten times a step's created mass, so every
+# mass stays at or below 2^1020, a sixteenth of the float maximum.
+_MASS_LIMIT = 2**1020
+
+
+def _mass(measure: DiscreteMeasure) -> float:
+    """|measure|, correctly rounded (``mass``); inf past the float range."""
+    try:
+        return measure.mass()
+    except OverflowError:  # fsum raises where the rounded sum is inf
+        return math.inf
+
+
+def _mass_text(measure: DiscreteMeasure) -> str:
+    """|measure| as repr gives it, or to 6 digits past the float range."""
+    mass = _mass(measure)
+    return repr(mass) if mass < math.inf else f"{sum(map(Decimal, measure.weights())):.6g}"
+
+
 def _checked_step_count(grid: LatticeGrid, mu0: DiscreteMeasure, src: SourceSpec | None,
                         T: float) -> int:
     """``_step_count(T, N)``, rejected (ConfigError) when the steps or the
     mass leave the float range.
 
     Step times k / N are exact floats only up to k = 2^53, and a run that
-    long would not end anyway.  A proportional source multiplies the mass
-    by at most 1 + rate / N per step; once |mu_0| (1 + rate / N)^steps
-    reaches 2^1024, a recorded weight may be past the float range.
+    long would not end anyway.  A mass leaves the float range past
+    ``_MASS_LIMIT`` (2^1020): the initial mass |mu_0| and the mass envelope
+    of the run.  A constant source adds dt |sigma| per step, so the
+    envelope is |mu_0| + steps dt |sigma|; a proportional one multiplies the
+    mass by at most 1 + rate / N per step, so it is |mu_0| (1 + rate /
+    N)^steps, compared in logs with 1e-9 for their rounding.
     """
     steps = _step_count(T, grid.N)
     if steps > 2**53:
@@ -532,10 +559,20 @@ def _checked_step_count(grid: LatticeGrid, mu0: DiscreteMeasure, src: SourceSpec
             f"T={T!r} at level N={grid.N} needs more than 2^53 steps, past which "
             "step times k/N are not exact floats"
         )
-    if src is None or src.kind != "proportional":
+    mass = _mass(mu0)
+    if mass > _MASS_LIMIT:
+        raise ConfigError(f"the initial mass {_mass_text(mu0)} is past the float range")
+    if src is None or src.kind == "custom":
         return steps
-    mass = mu0.mass()
-    if mass > 0 and math.log(mass) + steps * math.log1p(src.rate / grid.N) >= 1024 * math.log(2):
+    if src.kind == "constant":
+        if mass + steps / grid.N * _mass(src.measure) > _MASS_LIMIT:
+            raise ConfigError(
+                f"a constant source of mass {_mass_text(src.measure)} can grow the mass "
+                f"{mass!r} past the float range in {steps} steps at level N={grid.N}"
+            )
+        return steps
+    growth = steps * math.log1p(src.rate / grid.N)
+    if mass > 0 and math.log(mass) + growth > math.log(_MASS_LIMIT) + 1e-9:
         raise ConfigError(
             f"a proportional source of rate {src.rate!r} can grow the mass "
             f"{mass!r} past the float range in {steps} steps at level N={grid.N}"

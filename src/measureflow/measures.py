@@ -10,9 +10,11 @@ on this canonical form for deterministic behaviour.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -125,9 +127,33 @@ def _atom_rows(rows: Iterable[Sequence], dim, vectors: int) -> list[Sequence]:
     return rows
 
 
+def _memoized(method):
+    """A method without arguments whose value a measure computes once.
+
+    The value is kept in the instance dict under ``_`` + the method's name,
+    outside the dataclass fields (whose names do not start with ``_``), so
+    eq, hash and repr do not see it, and ``__getstate__`` leaves it out of
+    a pickle.  An array is made read-only, since every caller shares it."""
+    key = "_" + method.__name__
+
+    @functools.wraps(method)
+    def memoized(self):
+        memo = self.__dict__
+        if key not in memo:
+            value = memo[key] = method(self)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        return memo[key]
+
+    return memoized
+
+
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Nonnegative measure sum_i w_i * delta_{x_i} with finitely many atoms."""
+    """Nonnegative measure sum_i w_i * delta_{x_i} with finitely many atoms.
+
+    ``positions_array``, ``weights_array``, ``mass`` and ``support_radius``
+    are computed on first use and kept with the measure (read-only arrays)."""
 
     atoms: tuple[tuple[Position, float], ...]
     dim: int
@@ -168,17 +194,24 @@ class DiscreteMeasure:
     def weights(self) -> tuple[float, ...]:
         return tuple(w for _, w in self.atoms)
 
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
+
+    @_memoized
     def positions_array(self) -> np.ndarray:
-        coords = itertools.chain.from_iterable(pos for pos, _ in self.atoms)
+        coords = itertools.chain.from_iterable(map(itemgetter(0), self.atoms))
         count = len(self.atoms) * self.dim
         return np.fromiter(coords, dtype=float, count=count).reshape(len(self.atoms), self.dim)
 
+    @_memoized
     def weights_array(self) -> np.ndarray:
-        return np.array([w for _, w in self.atoms], dtype=float)
+        return np.fromiter(map(itemgetter(1), self.atoms), dtype=float, count=len(self.atoms))
 
+    @_memoized
     def mass(self) -> float:
-        return math.fsum(w for _, w in self.atoms)
+        return math.fsum(map(itemgetter(1), self.atoms))
 
+    @_memoized
     def support_radius(self) -> float:
         return _support_radius(self.positions_array())
 

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._simplex import WarmStart, solve_transport
+from ._simplex import WarmStart, certificate_slack, solve_transport
 from .errors import DimensionMismatch, LipschitzViolation, MassMismatch
 from .measures import DiscreteMeasure
 
@@ -57,16 +57,37 @@ class TransportPlan:
         return [[i, j, f] for i, j, f in self.entries]
 
 
+def _gap_norms(squares: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Euclidean norms of ``x - y`` over the last axis, into ``squares``
+    (zeros of the broadcast shape of the other axes): the squared gaps are
+    added one coordinate at a time, in order, then square-rooted in place.
+    Each norm gets the same bits whatever shape it is computed in."""
+    for c in range(x.shape[-1]):
+        squares += (x[..., c] - y[..., c]) ** 2
+    return np.sqrt(squares, out=squares)
+
+
 def _distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of ``x`` and those of ``y``
-    (zeros without coordinates).  The squared gaps are added one coordinate
-    at a time, in order, then square-rooted in place: the bits of
+    (zeros without coordinates), by ``_gap_norms``: the bits of
     ``np.sqrt(np.sum(diff * diff, axis=-1))`` below 8 coordinates, where
     numpy adds in that order (from 8 on it sums pairwise: an ulp apart)."""
-    squares = np.zeros((len(x), len(y)))
-    for c in range(x.shape[1]):
-        squares += (x[:, c, None] - y[None, :, c]) ** 2
-    return np.sqrt(squares, out=squares)
+    return _gap_norms(np.zeros((len(x), len(y))), x[:, None], y[None])
+
+
+def _arc_distances(x: np.ndarray, y: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The distances ``|x[rows[k]] - y[cols[k]]|`` alone, by the same kernel:
+    the bits of ``_distances(x, y)[rows, cols]`` at O(len(rows)) cost."""
+    return _gap_norms(np.zeros(len(rows)), x[rows], y[cols])
+
+
+def _distance_cap(m1: DiscreteMeasure, m2: DiscreteMeasure) -> float:
+    """An upper bound on every computed distance between an atom of ``m1``
+    and one of ``m2``, without the matrix: the sum of the support radii,
+    raised by 1e-12 relative for the few ulps by which a computed radius
+    can fall short, or a computed distance run over, its exact value
+    (positions are multiples of 1e-12, so no square is subnormal)."""
+    return (m1.support_radius() + m2.support_radius()) * (1.0 + 1e-12)
 
 
 def _optimal_entries(
@@ -86,8 +107,8 @@ def _rounding_slack(bound: float) -> float:
 
 class W1Instance:
     """The transport LP of W1(m1, m2): the weights as supplies and demands,
-    the distance matrix as costs.  The matrix is built on first use and
-    shared by ``bound`` and ``solve``.
+    the distance matrix as costs.  The matrix is built when a solve needs
+    it; ``bound`` reads only the kept basis's arcs.
 
     Raises MassMismatch when masses differ beyond tolerance (no silent
     renormalization)."""
@@ -99,18 +120,21 @@ class W1Instance:
         if abs(mass1 - mass2) > MASS_TOL * max(1.0, mass1, mass2):
             raise MassMismatch(f"masses differ: {mass1} vs {mass2}")
         self.m1, self.m2 = m1, m2
-        self._cost = None
-
-    def cost(self) -> np.ndarray:
-        if self._cost is None:
-            self._cost = _distances(self.m1.positions_array(), self.m2.positions_array())
-        return self._cost
 
     def bound(self, warm: WarmStart) -> float:
-        """A value ``solve(warm)`` cannot report more than, from the kept
-        basis (``WarmStart.bound``); inf when the carrier does not fit."""
-        supply, demand = self.m1.weights_array(), self.m2.weights_array()
-        return _rounding_slack(warm.bound(supply, demand, self.cost))
+        """A value ``solve(warm)`` cannot report more than, in O(m + n): the
+        kept basis priced at its own arcs' distances (``WarmStart.price``),
+        plus the certificate slack for costs up to the support radii's sum
+        (``_distance_cap``) and 1e-9 relative for rounding; inf when the
+        carrier does not fit.  No distance matrix is built."""
+        m1, m2 = self.m1, self.m2
+        x, y = m1.positions_array(), m2.positions_array()
+        price = warm.price(m1.weights_array(), m2.weights_array(),
+                           lambda rows, cols: _arc_distances(x, y, rows, cols))
+        if price == math.inf:
+            return price
+        slack = certificate_slack(_distance_cap(m1, m2), max(m1.mass(), m2.mass()))
+        return _rounding_slack(price + slack)
 
     def distance(self, warm: WarmStart | None = None) -> float:
         return self.solve(warm)[0]
@@ -121,7 +145,8 @@ class W1Instance:
         m1, m2 = self.m1, self.m2
         if m1.is_empty and m2.is_empty:
             return 0.0, TransportPlan(entries=(), cost=0.0)
-        entries = _optimal_entries(m1, m2, self.cost(), warm)
+        cost = _distances(m1.positions_array(), m2.positions_array())
+        entries = _optimal_entries(m1, m2, cost, warm)
         pos1 = [pos for pos, _ in m1.atoms]
         pos2 = [pos for pos, _ in m2.atoms]
         cost_total = math.fsum(f * math.dist(pos1[i], pos2[j]) for i, j, f in entries)
@@ -226,6 +251,24 @@ def lipschitz_values(
     return values, lip
 
 
+def _dual_value(
+    m1: DiscreteMeasure,
+    m2: DiscreteMeasure,
+    f: Callable[[np.ndarray], float],
+    lip_bound: float | None = None,
+    sup_bound: float | None = None,
+) -> tuple[float, np.ndarray, float]:
+    """Integral of f d(m1 - m2), with f's values on the atoms of m1 then m2
+    and its largest quotient: ``lipschitz_values`` on the union of supports,
+    which checks the bounds given."""
+    if m1.dim != m2.dim:
+        raise DimensionMismatch(f"dim {m1.dim} vs {m2.dim}")
+    points = np.concatenate([m1.positions_array(), m2.positions_array()])
+    values, lip = lipschitz_values(f, points, lip_bound, sup_bound)
+    weights = np.concatenate([m1.weights_array(), -m2.weights_array()])
+    return math.fsum(values * weights), values, lip
+
+
 def dual_lower_bound(
     m1: DiscreteMeasure, m2: DiscreteMeasure, f: Callable[[np.ndarray], float]
 ) -> float:
@@ -234,13 +277,4 @@ def dual_lower_bound(
     ``f`` must be 1-Lipschitz (checked on the union of supports); the
     returned value never exceeds wasserstein1(m1, m2) up to tolerance.
     """
-    if m1.dim != m2.dim:
-        raise DimensionMismatch(f"dim {m1.dim} vs {m2.dim}")
-    points = np.concatenate([m1.positions_array(), m2.positions_array()])
-    values, _ = lipschitz_values(f, points, lip_bound=1.0)
-    return signed_integral(values, m1, m2)
-
-
-def signed_integral(values: np.ndarray, m1: DiscreteMeasure, m2: DiscreteMeasure) -> float:
-    """Integral of f d(m1 - m2) from f's values on the atoms of m1, then m2."""
-    return math.fsum(values * np.concatenate([m1.weights_array(), -m2.weights_array()]))
+    return _dual_value(m1, m2, f, lip_bound=1.0)[0]

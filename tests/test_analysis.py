@@ -20,7 +20,7 @@ from measureflow.flat import GwInstance, generalized_wasserstein
 from measureflow.lattice import LatticeGrid, run_semigroup
 from measureflow.measures import DiscreteMeasure
 from measureflow.problems import builtin_problem
-from measureflow.wasserstein import W1Instance, wasserstein1
+from measureflow.wasserstein import W1Instance, _distances, wasserstein1
 
 d = DiscreteMeasure.dirac
 
@@ -287,6 +287,18 @@ class TestSupPruning:
         if skips is not None:
             assert every_time - pruned == skips
 
+
+    @pytest.mark.parametrize("metric", ["w1", "gw"])
+    def test_only_solved_times_build_a_distance_matrix(self, monkeypatch, metric):
+        # 4 + 8 + 16 of the level pairs' times are skipped, and none of them
+        # builds its m x n matrix: one matrix per solve
+        solved = _count_solves(monkeypatch)
+        matrices = []
+        for module in ("wasserstein", "flat"):
+            monkeypatch.setattr(f"measureflow.{module}._distances",
+                                lambda a, b: matrices.append(1) or _distances(a, b))
+        convergence_study(drift2d(3), (4, 8, 16, 32), 1.0, metric=metric, adaptive_extent=True)
+        assert len(solved) == 3 and len(matrices) == 3
 
 class TestSemigroupProbe:
     def test_identical_pair_ratio_one(self):

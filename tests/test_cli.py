@@ -906,3 +906,38 @@ def test_proportional_mass_up_to_the_float_range_runs(tmp_path):
     assert _run_simulate(tmp_path, config) == 0
     summary = json.loads((tmp_path / "o.csv.summary.json").read_text())
     assert summary["final_mass"] == 2.0**1020
+
+
+IDENTITY = {"kind": "deterministic", "velocity": {"type": "identity"}, "C": 1.0}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+@pytest.mark.parametrize("config, message", [
+    # OverflowError from float(total) in run_semigroup's record: exit 1
+    ({"initial_measure": {"dim": 2, "atoms": [[0.0, 0.0, 1e308], [0.5, 0.5, 1e308]]},
+      "pvf": IDENTITY, "adaptive_extent": True},
+     "the initial mass 2.00000e+308 is past the float range"),
+    # validate: "intermediate overflow in fsum" in solve_transport, exit 1
+    ({"initial_measure": {"dim": 2, "atoms": [[0.0, 0.0, 1e308]]}, "pvf": IDENTITY,
+      "source": PROPORTIONAL, "adaptive_extent": True},
+     "the initial mass 1e+308 is past the float range"),
+    # validate exited 0 and wrote its budget as the non-JSON token Infinity
+    ({"initial_measure": ONE_ATOM,
+      "pvf": {"kind": "deterministic", "velocity": {"type": "constant", "value": [0.5]}},
+      "source": {"kind": "constant", "measure": {"dim": 1, "atoms": [[0.25, 1e308]]}}},
+     "a constant source of mass 1e+308 can grow the mass 1.0 past the float range "
+     "in 4 steps at level N=4"),
+    # (1 + 0.5 / 4)^4 = 1.60: from 1e307 past 2^1020 = 1.12e307
+    ({"initial_measure": {"dim": 2, "atoms": [[0.0, 0.0, 1e307]]}, "pvf": IDENTITY,
+      "source": PROPORTIONAL, "adaptive_extent": True},
+     "a proportional source of rate 0.5 can grow the mass 1e+307 past the float range "
+     "in 4 steps at level N=4"),
+], ids=["two_weights", "proportional_source", "constant_source", "proportional_envelope"])
+def test_mass_past_the_float_range_exits_2_upfront(tmp_path, capsys, command, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": "custom", "N": 4, "T": 1.0, **config}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
+    assert not out.exists()

@@ -3,11 +3,12 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from conftest import measures_1d, random_measure
 from measureflow.errors import DimensionMismatch, LipschitzViolation
-from measureflow._simplex import WarmStart
+from measureflow._simplex import WarmStart, _price_tol, certificate_slack
 from measureflow.flat import (GwInstance, _solution_from_entries, generalized_wasserstein,
                               gw_dual_probe, integral_bound_check)
 from measureflow.measures import WEIGHT_FLOOR, DiscreteMeasure
@@ -282,33 +283,154 @@ def test_kept_parts_equal_from_atoms(monkeypatch):
     assert below_floor >= 1
 
 
+def _spy_distances(monkeypatch) -> list[tuple[int, int]]:
+    """Log the shape of every distance matrix built, W1 or W^g."""
+    calls = []
+    for module in ("wasserstein", "flat"):
+        monkeypatch.setattr(f"measureflow.{module}._distances",
+                            lambda a, b: calls.append((len(a), len(b))) or _distances(a, b))
+    return calls
+
+
+def _equal_weights(points, mass):
+    return DiscreteMeasure.from_atoms([(tuple(p), mass / len(points)) for p in points])
+
+
 @pytest.mark.parametrize("cls, span, mass2", [
     (W1Instance, 2.0, 1.0),
     (GwInstance, 0.3, 1.0),  # equal masses within distance 2: the fast path
     (GwInstance, 2.0, 1.0),  # atoms farther apart than 2: the dummy instance
     (GwInstance, 0.3, 1.5),  # unequal masses: the dummy instance
 ])
-def test_instance_bound_and_solve_share_one_matrix(monkeypatch, cls, span, mass2):
-    """The bound of a carrier that fits builds the matrix the solve then
-    uses; a carrier that fits neither instance builds none.  The distance
-    never exceeds the bound."""
+def test_instance_bound_builds_no_matrix(monkeypatch, cls, span, mass2):
+    """A bound reads the kept basis's arcs alone and builds no distance
+    matrix; the solve after it builds one.  The distance never exceeds the
+    bound, and a carrier that fits no shape of the instance gives inf."""
     rng = np.random.default_rng([65, int(10 * span), int(10 * mass2)])
-
-    def measure(points, mass):
-        return DiscreteMeasure.from_atoms([(tuple(p), mass / len(points)) for p in points])
-
     x, y = rng.uniform(-span, span, (20, 2)), rng.uniform(-span, span, (15, 2))
     warm = WarmStart()
-    cls(measure(x, 1.0), measure(y, mass2)).distance(warm)
-    calls = []
-    module = "wasserstein" if cls is W1Instance else "flat"
-    monkeypatch.setattr(f"measureflow.{module}._distances",
-                        lambda a, b: calls.append(1) or _distances(a, b))
-    moved = cls(measure(x + 0.01, 1.0), measure(y, mass2))
+    cls(_equal_weights(x, 1.0), _equal_weights(y, mass2)).distance(warm)
+    calls = _spy_distances(monkeypatch)
+    moved = cls(_equal_weights(x + 0.01, 1.0), _equal_weights(y, mass2))
     bound = moved.bound(warm)
-    assert calls == [1] and bound < math.inf
+    assert calls == [] and bound < math.inf
     assert moved.distance(warm) <= bound
-    assert calls == [1]
-    reweighted = cls(measure(x[1:], 1.0), measure(y, mass2))
+    assert calls == [(20, 15)]
+    reweighted = cls(_equal_weights(x[1:], 1.0), _equal_weights(y, mass2))
     assert reweighted.bound(warm) == math.inf
-    assert calls == [1]
+    assert calls == [(20, 15)]
+
+
+def _affine_pair(rng, dim, n1, n2, span, mass2, tiny):
+    """Two measures in a box of side ``span``, the first atom of each of
+    weight 1.5e-15 when ``tiny``, and a map moving them to another box: a
+    positive scale and a shift per measure, which keeps the atom order and
+    so the weights' bytes."""
+    def weights(n, mass):
+        w = rng.uniform(0.5, 1.5, n)
+        if tiny and n > 1:
+            w[0] = 1.5e-15 * w[1:].sum() / (mass - 1.5e-15)
+        return w / w.sum() * mass
+
+    def measure(points, w):
+        return DiscreteMeasure.from_atoms(zip(map(tuple, points), w), dim=dim)
+
+    x, y = rng.uniform(0, span, (n1, dim)), rng.uniform(0, span, (n2, dim))
+    w1, w2 = weights(n1, 1.0), weights(n2, mass2)
+    return lambda scale, shift: (measure(x * scale + shift[0], w1),
+                                 measure(y * scale + shift[1], w2))
+
+
+def _is_fast_path(m1, m2):
+    return GwInstance(m1, m2).lp()[3] == 0.0
+
+
+# (metric, span before, span after, mass of the second measure): a span of
+# 0.4 keeps every distance below 2 (the W^g fast path), one of 3 does not
+_SHAPE_CHANGES = {
+    "w1": ("w1", 0.4, 3.0, 1.0),
+    "gw-fast-then-dummy": ("gw", 0.4, 3.0, 1.0),  # a plain carrier at a dummy-shape time
+    "gw-dummy-then-fast": ("gw", 3.0, 0.4, 1.0),  # a dummy carrier at a fast-path time
+    "gw-unequal": ("gw", 0.4, 3.0, 1.3),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("case", list(_SHAPE_CHANGES))
+@given(seed=st.integers(0, 2**32 - 1), sizes=st.tuples(st.integers(1, 7), st.integers(1, 7)),
+       tiny=st.booleans())
+def test_bound_is_above_the_distance(case, dim, seed, sizes, tiny):
+    """From a carrier of one time, the bound of another time is at least the
+    distance that a cold solve, or a solve warm from that carrier, returns."""
+    metric, span0, span1, mass2 = _SHAPE_CHANGES[case]
+    rng = np.random.default_rng(seed)
+    pair = _affine_pair(rng, dim, *sizes, span0, mass2, tiny)
+    shift = rng.uniform(-1, 1, (2, dim))
+    before, after = pair(1.0, (0.0, 0.0)), pair(span1 / span0, shift)
+    if metric == "gw" and mass2 == 1.0:
+        assume(_is_fast_path(*before) == (span0 < 1) and _is_fast_path(*after) == (span1 < 1))
+    cls = W1Instance if metric == "w1" else GwInstance
+    warm = WarmStart()
+    cls(*before).distance(warm)
+    bound = cls(*after).bound(warm)
+    assert bound < math.inf
+    assert cls(*after).distance() <= bound
+    assert cls(*after).distance(warm) <= bound
+
+
+def test_bound_is_above_the_distance_with_kept_atoms_below_the_floor():
+    # the pairs of test_kept_parts_equal_from_atoms: far offsets, the fast
+    # path and kept flows below WEIGHT_FLOOR
+    for m1, m2 in _kept_part_pairs():
+        instances = [GwInstance(m1, m2)]
+        if abs(m1.mass() - m2.mass()) <= 1e-9 * max(1.0, m1.mass()):
+            instances.append(W1Instance(m1, m2))
+        for instance in instances:
+            warm = WarmStart()
+            assert instance.distance(warm) <= instance.bound(warm) < math.inf
+
+
+@pytest.mark.parametrize("case", ["gw-fast-then-dummy", "gw-dummy-then-fast"])
+def test_gw_bound_prices_the_shape_the_carrier_fits(case):
+    """The bound is the price of the carrier's own shape, from its matrix,
+    plus the offset of that shape and the documented slack."""
+    _, span0, span1, mass2 = _SHAPE_CHANGES[case]
+    rng = np.random.default_rng(66)
+    pair = _affine_pair(rng, 2, 12, 9, span0, mass2, False)
+    before, after = pair(1.0, (0.0, 0.0)), pair(span1 / span0, ((0.1, 0.0), (0.0, -0.1)))
+    assert _is_fast_path(*before) == (span0 < 1) and _is_fast_path(*after) == (span1 < 1)
+    warm = WarmStart()
+    GwInstance(*before).distance(warm)
+    m1, m2 = after
+    dist = _distances(m1.positions_array(), m2.positions_array())
+    if span0 < 1:  # the W1 shape: the distances, no offset
+        cost, offset = dist, 0.0
+    else:  # the dummy shape: dist - 2 and a zero dummy row and column, offset |m1| + |m2|
+        cost = np.zeros((len(m1) + 1, len(m2) + 1))
+        cost[:-1, :-1] = dist - 2.0
+        offset = m1.mass() + m2.mass()
+    price = math.fsum(f * cost.flat[arc] for arc, f in warm.basis.items())
+    cap = 2.0 + (m1.support_radius() + m2.support_radius()) * (1 + 1e-12)
+    slack = certificate_slack(cap, m1.mass() + m2.mass())
+    want = (offset + price + slack) * (1 + 1e-9) + WEIGHT_FLOOR * (len(m1) + len(m2))
+    assert GwInstance(m1, m2).bound(warm) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("cls", [W1Instance, GwInstance])
+def test_bound_slack_covers_the_certificate_of_the_built_matrix(cls):
+    """Identical measures whose atoms lie far apart: the kept basis prices
+    to 0, so the bound is its slack alone.  That slack must cover the
+    certificate tolerance of the matrix a solve builds, whose entries reach
+    the atoms' spread although the distance is 0."""
+    m = DiscreteMeasure.from_atoms([((-40.0, 0.0), 0.25), ((0.0, 30.0), 0.5), ((50.0, 1.0), 0.25)])
+    warm = WarmStart()
+    assert cls(m, m).distance(warm) == 0.0
+    instance = cls(m, m)
+    if cls is W1Instance:
+        supply = demand = m.weights_array()
+        cost = _distances(m.positions_array(), m.positions_array())
+    else:
+        supply, demand, cost, _ = instance.lp()
+    tolerance = 100 * _price_tol(float(np.abs(cost).max())) * max(supply.sum(), demand.sum())
+    assert instance.bound(warm) >= tolerance
+

@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,7 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import grid_weights, measures_1d
+from measureflow import analysis
 from measureflow.errors import DimensionMismatch
+from measureflow.lattice import LatticeGrid, run_semigroup
 from measureflow.measures import (
     DiscreteMeasure,
     LiftedMeasure,
@@ -15,6 +19,7 @@ from measureflow.measures import (
     _ratios,
     _support_radius,
 )
+from measureflow.problems import builtin_problem
 
 
 class TestConstruction:
@@ -128,6 +133,72 @@ class TestPositionsArray:
     def test_empty(self, dim):
         got = DiscreteMeasure.empty(dim).positions_array()
         assert got.dtype == np.float64 and got.shape == (0, dim)
+
+
+class TestMemo:
+    """positions_array, weights_array, mass and support_radius are computed
+    once per measure and kept out of its value."""
+
+    @staticmethod
+    def _measure():
+        rng = np.random.default_rng(12)
+        return DiscreteMeasure.from_atoms(
+            [(tuple(p), float(w)) for p, w in zip(rng.uniform(-3, 3, (9, 2)), rng.uniform(0.1, 1, 9))])
+
+    def test_arrays_are_read_only_and_rebuild_to_the_same_bits(self):
+        m = self._measure()
+        positions, weights = m.positions_array(), m.weights_array()
+        assert positions is m.positions_array() and weights is m.weights_array()
+        for array in (positions, weights):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        coords = itertools.chain.from_iterable(pos for pos, _ in m.atoms)
+        fresh = np.fromiter(coords, dtype=float, count=2 * len(m)).reshape(len(m), 2)
+        assert positions.tobytes() == fresh.tobytes()
+        fresh = np.fromiter((w for _, w in m.atoms), dtype=float, count=len(m))
+        assert weights.tobytes() == fresh.tobytes()
+        assert m.mass().hex() == math.fsum(m.weights()).hex()
+        assert m.support_radius().hex() == _support_radius(fresh_positions(m)).hex()
+
+    def test_value_and_pickle_do_not_see_the_memos(self):
+        fresh, used = self._measure(), self._measure()
+        blank = pickle.dumps(fresh)
+        used.positions_array(), used.weights_array(), used.mass(), used.support_radius()
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+        assert pickle.dumps(used) == blank
+        back = pickle.loads(pickle.dumps(used))
+        assert back == used and hash(back) == hash(used)
+        assert back.weights_array().tobytes() == used.weights_array().tobytes()
+        assert not back.weights_array().flags.writeable
+
+    @pytest.mark.parametrize("preset", ["diffusion1d", "source-only"])
+    def test_recorded_states_carry_the_radius_of_their_atoms(self, preset):
+        # the stepper hands each state the radius it computed: the bits a
+        # rebuild from the atoms gives
+        problem = builtin_problem(preset)
+        traj = run_semigroup(LatticeGrid(N=8, dim=1), problem.initial, problem.pvf,
+                             problem.src, 1.0)
+        for state, radius in zip(traj.states, traj.support_radii):
+            assert state.support_radius().hex() == radius.hex()
+            assert radius.hex() == _support_radius(fresh_positions(state)).hex()
+
+    def test_probe_cache_hits_a_measure_whose_memos_are_built(self, monkeypatch):
+        problem = builtin_problem("translate")
+        mu0 = DiscreteMeasure.from_atoms(problem.initial.atoms)  # no memos
+        traj = run_semigroup(LatticeGrid(N=8, dim=1), mu0, problem.pvf, problem.src, 1.0)
+        used = problem.initial
+        used.positions_array(), used.weights_array(), used.mass(), used.support_radius()
+        runs = []
+        monkeypatch.setattr(analysis, "run_semigroup",
+                            lambda *args: runs.append(args[1]) or run_semigroup(*args))
+        nu0 = used.pushforward(lambda x: x + 0.4)
+        analysis.semigroup_probe(problem, [(used, nu0)], [0.5], N=8, trajectories={mu0: traj})
+        assert runs == [nu0]  # the seeded run of mu0 served the measure with memos
+
+
+def fresh_positions(m):
+    return np.array([pos for pos, _ in m.atoms], dtype=float).reshape(len(m), m.dim)
 
 
 class TestPushforward:

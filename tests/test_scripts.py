@@ -28,3 +28,20 @@ def test_convergence_sweep_small_levels(monkeypatch, capsys):
     for name in ("translate", "diffusion1d", "source-only"):
         assert f"== {name} (metric gw, T=0.5) ==" in out
     assert out.count("fitted rate") == 3
+
+
+def test_output_digests_match_the_manifest(monkeypatch, capsys):
+    # every tiny benchmark op and every preset command writes the bytes the
+    # checked-in manifest pins
+    with pytest.raises(SystemExit) as done:
+        _run(monkeypatch, capsys, "output_digests.py", "--check", "--size", "tiny")
+    out = capsys.readouterr().out
+    assert done.value.code == 0, out
+    assert out.endswith("tiny: 60 outputs, 0 differ from the manifest\n")
+
+
+def test_output_digests_name_each_difference():
+    compare = runpy.run_path(str(SCRIPTS / "output_digests.py"))["compare"]
+    want = {"kept": "0", "changed": "1", "gone": "2"}
+    got = {"kept": "0", "changed": "3", "added": "4"}
+    assert compare(want, got) == ["new: added", "changed: changed", "missing: gone"]

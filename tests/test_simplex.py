@@ -633,27 +633,40 @@ def test_warm_start_matches_cold(monkeypatch, kind, n):
 
 @pytest.mark.parametrize("kind", ["w1_2d", "gw_2d"])
 def test_bound_prices_the_kept_basis(kind):
+    """The carrier keeps its arcs as row, column and flow arrays, and
+    ``price`` evaluates the costs of those arcs alone; with the certificate
+    slack it bounds any solve of the instance."""
     rng = np.random.default_rng([64, len(kind)])
     (supply, demand, cost), *later = _drifting_instances(rng, kind, 30)
     warm = _simplex.WarmStart()
-    unbuilt = []
-    assert warm.bound(supply, demand, lambda: unbuilt.append(1)) == math.inf  # empty
+    asked = []
+
+    def arc_costs(cost):
+        return lambda rows, cols: asked.append(len(rows)) or cost[rows, cols]
+
+    assert warm.price(supply, demand, arc_costs(cost)) == math.inf  # empty
     value, _ = solve_transport(supply, demand, cost, warm=warm)
     basis, masses = dict(warm.basis), warm.masses
-    tolerance = 100 * _simplex._price_tol(cost) * supply.sum()
-    # on its own instance the bound is the optimum plus the certificate's tolerance
-    assert warm.bound(supply, demand, lambda: cost) == pytest.approx(value + tolerance,
-                                                                     rel=1e-12)
+    rows, cols, flows = warm.arcs
+    n = cost.shape[1]
+    assert list(zip((rows * n + cols).tolist(), flows.tolist())) == list(basis.items())
+    # on its own instance the price is the optimum
+    assert warm.price(supply, demand, arc_costs(cost)) == pytest.approx(value, rel=1e-12)
     for supply, demand, cost in later:
-        bound = warm.bound(supply, demand, lambda: cost)
-        priced = math.fsum(f * cost.flat[arc] for arc, f in basis.items())
-        tolerance = 100 * _simplex._price_tol(cost) * supply.sum()
-        assert bound == pytest.approx(priced + tolerance, rel=1e-12)
-        assert solve_transport(supply, demand, cost)[0] <= bound
-    assert warm.basis == basis and warm.masses == masses  # bounding keeps the carrier
+        price = warm.price(supply, demand, arc_costs(cost))
+        assert price == pytest.approx(math.fsum(f * cost.flat[arc] for arc, f in basis.items()),
+                                      rel=1e-12)
+        cap = float(np.abs(cost).max())
+        slack = _simplex.certificate_slack(cap, max(supply.sum(), demand.sum()))
+        assert slack == 100 * _simplex._price_tol(cap) * max(supply.sum(), demand.sum())
+        assert _simplex.certificate_slack(2 * cap, 1.0) > _simplex.certificate_slack(cap, 1.0)
+        assert solve_transport(supply, demand, cost)[0] <= price + slack
+    assert set(asked) == {len(supply) + len(demand) - 1}  # the basis arcs, no matrix
+    assert warm.basis == basis and warm.masses == masses  # pricing keeps the carrier
     moved = supply[::-1].copy()
-    assert warm.bound(moved, demand, lambda: unbuilt.append(1)) == math.inf
-    assert unbuilt == []  # a carrier that does not fit builds no cost matrix
+    asked.clear()
+    assert warm.price(moved, demand, arc_costs(cost)) == math.inf
+    assert asked == []  # a carrier that does not fit prices nothing
 
 
 def _hex_result(result):
@@ -748,7 +761,7 @@ def test_failed_solve_empties_the_carrier():
     with pytest.raises(SimplexError, match="pivot limit"):
         solve_transport(supply, demand, cost, max_iter=1, warm=warm)
     assert not warm.fits(supply, demand)
-    assert warm.basis == {} and warm.tree is None
+    assert warm.basis == {} and warm.tree is None and warm.arcs is None
     assert _hex_result(solve_transport(supply, demand, cost, warm=warm)) == _hex_result(
         solve_transport(supply, demand, cost))
 
