@@ -191,12 +191,14 @@ class PvfSpec:
                 raise DimensionMismatch("diffusion1d requires dim 1")
             # atom a splits into q pieces at the cumulative-mass midpoints
             # F(x_a-) + (2i - 1) w_a / 2q, i = 1..q: the integers
-            # 2q F(x_a-) + w_a + 2(i - 1) w_a over 2 q den, row by row
+            # 2q F(x_a-) + w_a + 2(i - 1) w_a over 2 q den, row by row: one
+            # running sum of w_0, then 2 w_a between an atom's pieces and
+            # w_a + w_(a+1) from its last piece to the next atom's first
             q = self.quadrature_points
-            first = 2 * q * (np.cumsum(nums) - nums) + nums
-            steps = np.array(range(0, 2 * q, 2), dtype=object)
-            abscissae = (first[:, None] + nums[:, None] * steps).ravel()
-            cumulative = _ratios(abscissae, 2 * q * den)
+            steps = np.repeat(2 * nums, q)
+            steps[:1] = nums[:1]
+            steps[q::q] = nums[:-1] + nums[1:]
+            cumulative = _ratios(np.cumsum(steps), 2 * q * den)
             velocities = self.phi.evaluate(cumulative).reshape(-1, 1)
             return np.repeat(np.arange(len(nums)), q), velocities, np.repeat(nums, q), q * den
         if self.kind == "custom":
@@ -366,7 +368,8 @@ class SourceSpec:
             inside = Ball(center=(0.0,) * dim, radius=self.support_radius).contains_rows(positions)
             if self.carrier is not None:
                 inside &= self.carrier.contains_rows(positions)
-            return positions[inside], nums[inside] * p, den * q
+            nums = nums[inside]
+            return positions[inside], nums if p == 1 else nums * p, den * q
         if self.kind == "custom":
             sigma = self.evaluator(_rows_measure(positions, nums, den))
             if sigma.support_radius() > self.support_radius + 1e-9:

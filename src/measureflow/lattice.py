@@ -9,9 +9,10 @@ space and velocity, move every quantized atom by dt * velocity, then add
 dt times the space-quantized source.  No operator fusion.  A step copies
 no array it does not change: a deterministic lift takes its space cells as
 a view, ``_merge`` skips the common denominator and concatenation for one
-part and the duplicate-cell sum when no cell repeats, and ``_emit`` skips
-the floor filter when no atom is below it.  The gcd reduction, the extent
-checks and the re-snap self-check run every step.
+part and the duplicate-cell sum when no cell repeats, a factor of 1 (the
+step's 1/N on the source, a rate such as 1/2) multiplies no numerator, and
+``_emit`` skips the floor filter when no atom is below it.  The gcd
+reduction, the extent checks and the re-snap self-check run every step.
 
 Fields.  Every PVF and source, ``custom`` kinds included, acts on the
 exact state through its array form (``PvfSpec.lift``,
@@ -267,7 +268,14 @@ def _velocity_cells(grid: LatticeGrid, velocities: np.ndarray) -> np.ndarray:
 
 
 def _merge(parts: list[tuple[np.ndarray, np.ndarray, int]]) -> _State:
-    """Sum weighted cells (cells, nums, den) into one reduced state."""
+    """Sum weighted cells (cells, nums, den) into one reduced state.
+
+    Rows are sorted and grouped by one int64 key per cell, the digits k_i
+    in base span = 2 max|k| + 1 (k_0 span^(dim-1) + ... + k_(dim-1)), which
+    orders cells lexicographically; a repeated cell is a repeated key.
+    Past |key| ~ span^dim / 2 >= 2^61 the rows take ``lexsort``.  Either
+    sort is stable, and the exact sums of a cell's numerators do not depend
+    on their order anyway."""
     if len(parts) == 1:
         cells, nums, den = parts[0]
     else:
@@ -276,10 +284,19 @@ def _merge(parts: list[tuple[np.ndarray, np.ndarray, int]]) -> _State:
         nums = np.concatenate([n if d == den else n * (den // d) for _, n, d in parts])
     if not len(nums):
         return _State(cells, nums, 1)
-    order = np.lexsort(cells.T[::-1])
-    cells, nums = cells[order], nums[order]
     first = np.ones(len(cells), dtype=bool)
-    first[1:] = (cells[1:] != cells[:-1]).any(axis=1)
+    span = 2 * max(int(cells.max()), -int(cells.min())) + 1
+    if span ** cells.shape[1] < 2**62:
+        key = cells[:, 0]
+        for column in cells.T[1:]:
+            key = key * span + column
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first[1:] = key[1:] != key[:-1]
+    else:
+        order = np.lexsort(cells.T[::-1])
+        first[1:] = (cells[order[1:]] != cells[order[:-1]]).any(axis=1)
+    cells, nums = cells[order], nums[order]
     if not first.all():
         starts = np.flatnonzero(first)
         cells, nums = cells[starts], np.add.reduceat(nums, starts)
@@ -315,7 +332,7 @@ def _emit(
     if not np.array_equal(snapped, cells):
         atom = tuple(recorded[np.argmax((snapped != cells).any(axis=1))].tolist())
         raise AssertionError(f"state left the lattice at step {step}: atom {atom}")
-    atoms = tuple(zip(map(tuple, recorded.tolist()), weights.tolist()))
+    atoms = tuple(zip(zip(*recorded.T.tolist()), weights.tolist()))
     snapshot = DiscreteMeasure(atoms=atoms, dim=state.cells.shape[1])
     radius = _support_radius(recorded)
     snapshot.__dict__["_support_radius"] = radius  # the memo of snapshot.support_radius()
@@ -337,11 +354,9 @@ def _source(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """factor * ax_discretize(s[state]) with exact weights."""
     points, nums, den = src.created(positions, state.nums, state.den)
-    return (
-        _space_cells(grid, points),
-        nums * factor.numerator,
-        den * factor.denominator,
-    )
+    if factor.numerator != 1:  # the step's 1/N needs no pass over the nums
+        nums = nums * factor.numerator
+    return _space_cells(grid, points), nums, den * factor.denominator
 
 
 def _step(grid: LatticeGrid, state: _State, positions: np.ndarray,
@@ -592,7 +607,9 @@ def run_semigroup(
 
     Rejects upfront (SupportOverflow) when the growth envelope of the data
     cannot fit the extent; in adaptive-extent mode the extent is widened to
-    the envelope instead.  Also rejects upfront (ConfigError) a level N too
+    the envelope instead, and a velocity field whose Gronwall envelope is
+    infinite (no ``velocity_bound``, C T past the float range) is rejected
+    (ConfigError) naming its C.  Also rejects upfront (ConfigError) a level N too
     fine for the envelope radius, where 12-decimal anchors stop snapping
     back to their cells (a level too fine for any radius, before the
     envelope is computed), and a run whose step count or proportional-source
@@ -605,6 +622,13 @@ def run_semigroup(
     _check_level(grid, 0.0)  # too fine for any support; also an N past the float range
     reach = predicted_reach(mu0, pvf, src, T)
     if grid.adaptive_extent:
+        if (pvf is not None and pvf.velocity_bound is None and mu0.support_radius() < math.inf
+                and predicted_reach(mu0, pvf, None, T) == math.inf):
+            raise ConfigError(
+                f"the growth envelope (r0 + 1) exp(C T) - 1 of the velocity field is infinite "
+                f"at C={pvf.growth_constant!r}, T={T!r}: no extent holds it (give the field "
+                "a velocity_bound, or a smaller C or T)"
+            )
         if reach > grid.space_extent:
             grid = replace(grid, extent_radius=reach)
     elif reach > grid.space_extent:

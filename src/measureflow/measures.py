@@ -41,13 +41,15 @@ def _support_radius(positions: np.ndarray) -> float:
     if not len(positions):
         return 0.0
     # the sum of squares of each row is rounded once, as math.fsum rounds
-    # it: a numpy row sum of at most two floats is one rounding, so it has
+    # it: one square, or the sum of two columns, is one rounding, so it has
     # fsum's bits; from dim 3 on, fsum per row.  sqrt is monotone and
     # correctly rounded, so sqrt(max) == max(sqrt).
     with np.errstate(over="ignore"):
         squares = positions * positions
-        if positions.shape[1] <= 2:
-            return math.sqrt(squares.sum(axis=1).max())
+        if positions.shape[1] == 1:
+            return math.sqrt(squares.max())
+        if positions.shape[1] == 2:
+            return math.sqrt((squares[:, 0] + squares[:, 1]).max())
     try:
         return math.sqrt(max(map(math.fsum, squares.tolist())))
     except OverflowError:  # fsum raises where the rounded sum is inf

@@ -591,6 +591,21 @@ class TestConvergenceCommand:
         assert lines[0] == "level,distance,fitted_rate"
         assert len(lines) == 4
 
+    def test_presets_at_small_levels(self, tmp_path):
+        # each preset's study: a distance per level pair, a reference per
+        # level where the exact solution is known, and a fitted rate
+        for name in ("translate", "diffusion1d", "source-only"):
+            out = tmp_path / f"{name}.json"
+            assert main(["convergence", "--preset", name, "--levels", "2,4,8", "--T", "0.5",
+                         "--out", str(out), "--no-timestamp"]) == 0
+            report = json.loads(out.read_text())
+            assert (report["problem"], report["metric"], report["T"]) == (
+                name.replace("-", "_"), "gw", 0.5)
+            assert [pair[:2] for pair in report["pair_distances"]] == [[2, 4], [4, 8]]
+            assert [n for n, _ in report["reference_sup"]] == (
+                [] if name == "diffusion1d" else [2, 4, 8])
+            assert "rate" in report
+
     def test_single_level_exits_2(self, tmp_path):
         assert (
             main(
@@ -811,12 +826,14 @@ def test_non_finite_field_numbers_exit_2_before_the_run(tmp_path, capsys, comman
 @pytest.mark.parametrize("command", ["simulate", "validate"])
 @pytest.mark.parametrize("adaptive, code, message", [
     (False, 3, "SupportOverflow: growth envelope radius inf exceeds the extent [-4.0, 4.0]^n"),
-    (True, 2, "ConfigError: level N=4 is too fine for support radius inf"),
+    (True, 2, "ConfigError: the growth envelope (r0 + 1) exp(C T) - 1 of the velocity "
+              "field is infinite at C=1.0, T=1e+308"),
 ], ids=["fixed_extent", "adaptive_extent"])
 def test_growth_envelope_past_the_float_range(tmp_path, capsys, command, adaptive, code,
                                               message):
     # T = 1e308 under the identity field: math.exp raised OverflowError in
-    # predicted_reach, a traceback with exit 1
+    # predicted_reach, a traceback with exit 1; with the adaptive extent the
+    # level check then named a support radius inf
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "problem": "custom", "N": 4, "T": 1e308, "adaptive_extent": adaptive,
@@ -828,6 +845,30 @@ def test_growth_envelope_past_the_float_range(tmp_path, capsys, command, adaptiv
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+@pytest.mark.parametrize("c", [math.inf, 1e308], ids=["inf", "1e308"])
+def test_infinite_growth_constant_names_the_envelope(tmp_path, capsys, command, c):
+    # a scale field has no velocity bound, so C sets the envelope; with the
+    # adaptive extent the level check named a support radius inf
+    pvf = {"kind": "deterministic", "velocity": {"type": "scale", "factor": 0.5}, "C": c}
+    config = {"problem": "custom", "N": 4, "T": 1.0, "adaptive_extent": True,
+              "initial_measure": TWO_D_ATOM, "pvf": pvf}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: ConfigError: the growth envelope (r0 + 1) exp(C T) - 1 of the velocity field "
+        f"is infinite at C={c!r}, T=1.0: no extent holds it (give the field a velocity_bound, "
+        "or a smaller C or T)\n"
+    )
+    assert not out.exists()
+    # a velocity bound sets the envelope instead, and the run goes through
+    cfg.write_text(json.dumps({**config, "pvf": {**pvf, "velocity_bound": 2.0}}))
+    assert main([command, "--config", str(cfg), "--out", str(out), "--no-timestamp"]) == 0
 
 
 @pytest.mark.parametrize("atom", [[0.0, 10**400], [10**400, 1.0]], ids=["weight", "coordinate"])

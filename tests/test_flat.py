@@ -390,6 +390,26 @@ def test_bound_is_above_the_distance_with_kept_atoms_below_the_floor():
             assert instance.distance(warm) <= instance.bound(warm) < math.inf
 
 
+def test_gw_bound_counts_the_flow_of_a_dropped_sub_floor_atom():
+    # m1 = A at 0 + E at 1, m2 = B at 1 + an atom at 5 (which keeps the
+    # solve off the W1 fast path).  E fills most of B and A ships the 2e-16
+    # left, under WEIGHT_FLOOR: A leaves the kept part and that flow counts
+    # as removed, 2e-16 above the LP value.  At masses near 1e-15 the
+    # certificate slack is about 1e-24, so only the bound's floor term keeps
+    # it above the distance
+    m1 = DiscreteMeasure.from_atoms([((0.0,), 1.5e-15), ((1.0,), 1e-15)])
+    m2 = DiscreteMeasure.from_atoms([((1.0,), 1.2e-15), ((5.0,), 1e-15)])
+    instance = GwInstance(m1, m2)
+    warm = WarmStart()
+    solution = instance.solve(warm)
+    assert [i for i, _, f in solution.plan.entries if f < WEIGHT_FLOOR] == [0]
+    assert solution.kept1.kept.atoms == (((1.0,), 1e-15),)
+    assert solution.distance == pytest.approx(2.7e-15, rel=1e-12)
+    bound = instance.bound(warm)
+    assert GwInstance(m1, m2).distance() <= bound and solution.distance <= bound
+    assert bound - WEIGHT_FLOOR * (len(m1) + len(m2)) < solution.distance - 1e-16
+
+
 @pytest.mark.parametrize("case", ["gw-fast-then-dummy", "gw-dummy-then-fast"])
 def test_gw_bound_prices_the_shape_the_carrier_fits(case):
     """The bound is the price of the carrier's own shape, from its matrix,

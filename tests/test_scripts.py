@@ -23,13 +23,6 @@ def test_probe_semigroup_small_levels(monkeypatch, capsys, n):
     assert "quadratic coefficient" in out
 
 
-def test_convergence_sweep_small_levels(monkeypatch, capsys):
-    out = _run(monkeypatch, capsys, "convergence_sweep.py", "--levels", "2,4,8", "--T", "0.5")
-    for name in ("translate", "diffusion1d", "source-only"):
-        assert f"== {name} (metric gw, T=0.5) ==" in out
-    assert out.count("fitted rate") == 3
-
-
 def test_output_digests_match_the_manifest(monkeypatch, capsys):
     # every tiny benchmark op and every preset command writes the bytes the
     # checked-in manifest pins

@@ -363,6 +363,99 @@ def test_step_shortcuts_match_reference_stepper(name, monkeypatch):
             any(recorded < exact for exact, recorded in emits)) == expected
 
 
+# -- _merge against its lexsort form ---------------------------------------------
+
+
+def _merge_oracle(parts):
+    """The ``_merge`` body that sorted by ``lexsort`` and found repeats with
+    ``any(axis=1)``, before the int64 key."""
+    den = math.lcm(*(d for _, _, d in parts))
+    cells = np.concatenate([c for c, _, _ in parts])
+    nums = np.concatenate([n * (den // d) for _, n, d in parts])
+    if not len(nums):
+        return cells, nums, 1
+    order = np.lexsort(cells.T[::-1])
+    cells, nums = cells[order], nums[order]
+    first = np.ones(len(cells), dtype=bool)
+    first[1:] = (cells[1:] != cells[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    cells, nums = cells[starts], np.add.reduceat(nums, starts)
+    g = math.gcd(den, *nums.tolist())
+    return cells, nums // g, den // g
+
+
+def _random_parts(rng, dim, reach, dens, base=0):
+    """One part per denominator, each with rows drawn from a box of side 2
+    reach + 1 around ``base`` (so rows repeat within and across parts) and
+    positive numerators of up to 80 bits."""
+    parts = []
+    for den in dens:
+        n = int(rng.integers(0, 40))
+        cells = base + rng.integers(-reach, reach + 1, size=(n, dim))
+        nums = np.array([int(x) << int(s) for x, s in zip(rng.integers(1, 2**16, n),
+                                                          rng.integers(0, 64, n))],
+                        dtype=object)
+        parts.append((cells.astype(np.int64), nums, den))
+    return parts
+
+
+def _assert_merges_like_the_oracle(parts, lexsorts, monkeypatch):
+    want_cells, want_nums, want_den = _merge_oracle(parts)
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+    state = lattice._merge(parts)
+    monkeypatch.undo()
+    assert bool(calls) == lexsorts
+    assert state.cells.dtype == np.int64
+    assert np.array_equal(state.cells, want_cells)
+    assert state.nums.tolist() == want_nums.tolist()
+    assert state.den == want_den
+    rows = list(map(tuple, state.cells.tolist()))
+    assert all(a < b for a, b in zip(rows, rows[1:]))  # sorted, no cell twice
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_merge_groups_cells_like_lexsort(dim, seed, monkeypatch):
+    # small boxes make most rows repeat; random parts over the denominators
+    # 1, or 8 and 3, or 2^70, 5 * 2^40 and 12, plus a repeated origin over 6,
+    # lcm'd and reduced by the gcd as the stepper does
+    rng = np.random.default_rng(100 * dim + seed)
+    dens = [[1], [8, 3], [2**70, 5 * 2**40, 12]][seed % 3]
+    parts = _random_parts(rng, dim, 3 + 20 * (seed // 3), dens)
+    parts.append((np.array([[0] * dim, [0] * dim], dtype=np.int64),
+                  np.array([1, 2], dtype=object), 6))
+    _assert_merges_like_the_oracle(parts, False, monkeypatch)
+
+
+@pytest.mark.parametrize("dim, base, lexsorts", [
+    (1, 2**52 - 40, False),  # span about 2^53: the key is the cell
+    (1, -(2**52) + 40, False),
+    (2, 2**30 - 8, False),  # span^2 just below 2^62
+    (2, 2**30, True),  # span^2 just past it
+    (2, 2**40, True),  # span^2 past 2^62
+    (2, -(2**40), True),
+    (3, 2**20, True),
+])
+def test_merge_falls_back_to_lexsort_past_the_key_range(dim, base, lexsorts, monkeypatch):
+    rng = np.random.default_rng(abs(base) % 1000 + dim)
+    parts = _random_parts(rng, dim, 2, [4, 6], base=base)
+    # one row at -base keeps both signs in the span
+    parts.append((np.array([[-base] + [0] * (dim - 1)], dtype=np.int64),
+                  np.array([5], dtype=object), 1))
+    _assert_merges_like_the_oracle(parts, lexsorts, monkeypatch)
+
+
+def test_merge_of_nothing_and_of_one_part():
+    empty = lattice._merge([(np.zeros((0, 2), dtype=np.int64), np.array([], dtype=object), 8)])
+    assert empty.cells.shape == (0, 2) and len(empty.nums) == 0 and empty.den == 1
+    one = lattice._merge([(np.array([[3], [-1], [3]], dtype=np.int64),
+                           np.array([2, 4, 6], dtype=object), 4)])
+    assert one.cells.tolist() == [[-1], [3]]
+    assert one.nums.tolist() == [1, 2] and one.den == 1
+
+
 def test_lift_rows_view_and_index():
     # a deterministic field lifts row for row and says so with a slice; a
     # custom one names each piece's row
